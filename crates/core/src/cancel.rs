@@ -1,161 +1,49 @@
-//! Cooperative cancellation for long-running compiles.
+//! Deadline cancellation for long-running compiles.
 //!
-//! A [`CancelToken`] is a cheap, cloneable handle shared between the
-//! party that owns a compile's time budget (a serving layer, a CLI
-//! timeout) and the router doing the work. Routers poll
-//! [`CancelToken::check`] at stage boundaries — once per emitted
-//! schedule stage, Pauli string, or QAOA round — and abort with
-//! [`RouteError::Cancelled`] when the
-//! token has been cancelled or its deadline has passed. The poll is a
-//! relaxed atomic load plus (when a deadline is armed) one
-//! `Instant::now()` call, cheap enough for the innermost routing loops.
+//! A [`CancelToken`] is an optional deadline, copied from the party that
+//! owns a compile's time budget (a serving layer, a CLI timeout) into the
+//! router doing the work. Routers poll [`CancelToken::check`] at stage
+//! boundaries — once per emitted schedule stage, Pauli string, or QAOA
+//! round — and abort with [`RouteError::Cancelled`] once the deadline has
+//! passed. The poll is one `Instant::now()` call when a deadline is armed
+//! and a branch otherwise, cheap enough for the innermost routing loops.
 //!
 //! Cancellation is strictly cooperative: a token never interrupts a
 //! stage in flight, it only stops the *next* stage from starting. That
 //! keeps every abort at a clean schedule boundary, so a cancelled
 //! compile leaves no partially-emitted state behind.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::RouteError;
 
-/// Why a compile was asked to stop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelReason {
-    /// The compile's wall-clock budget ran out.
-    Deadline,
-    /// A concurrent compile of the same request finished first; the
-    /// result already exists and this attempt is redundant.
-    Superseded,
-    /// The owning service is shutting down.
-    Shutdown,
-}
-
-impl fmt::Display for CancelReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CancelReason::Deadline => write!(f, "deadline exceeded"),
-            CancelReason::Superseded => write!(f, "superseded by a concurrent result"),
-            CancelReason::Shutdown => write!(f, "service shutting down"),
-        }
-    }
-}
-
-const STATE_LIVE: u8 = 0;
-const STATE_DEADLINE: u8 = 1;
-const STATE_SUPERSEDED: u8 = 2;
-const STATE_SHUTDOWN: u8 = 3;
-
-#[derive(Debug)]
-struct Inner {
-    state: AtomicU8,
+/// An optional compile deadline, checked by routers at stage boundaries.
+/// The default token has no deadline and never fires. See the [module
+/// docs](self) for the polling contract.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CancelToken {
     deadline: Option<Instant>,
 }
 
-/// A cloneable cancellation handle checked by routers at stage
-/// boundaries. See the [module docs](self) for the polling contract.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Option<Arc<Inner>>,
-}
-
 impl CancelToken {
-    /// A token that only cancels when [`CancelToken::cancel`] is called.
-    pub fn new() -> CancelToken {
-        CancelToken {
-            inner: Some(Arc::new(Inner {
-                state: AtomicU8::new(STATE_LIVE),
-                deadline: None,
-            })),
-        }
-    }
-
-    /// A token that additionally reports [`CancelReason::Deadline`] once
-    /// `deadline` has passed.
+    /// A token that fires once `deadline` has passed.
     pub fn with_deadline(deadline: Instant) -> CancelToken {
         CancelToken {
-            inner: Some(Arc::new(Inner {
-                state: AtomicU8::new(STATE_LIVE),
-                deadline: Some(deadline),
-            })),
+            deadline: Some(deadline),
         }
     }
 
-    /// The armed deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.as_ref().and_then(|i| i.deadline)
-    }
-
-    /// Cancels the token; every clone observes the reason. The first
-    /// reason wins — later calls on an already-cancelled token are
-    /// no-ops, so a deadline that fired cannot be re-labelled as a
-    /// supersession by a racing winner.
-    pub fn cancel(&self, reason: CancelReason) {
-        let Some(inner) = &self.inner else { return };
-        let state = match reason {
-            CancelReason::Deadline => STATE_DEADLINE,
-            CancelReason::Superseded => STATE_SUPERSEDED,
-            CancelReason::Shutdown => STATE_SHUTDOWN,
-        };
-        let _ =
-            inner
-                .state
-                .compare_exchange(STATE_LIVE, state, Ordering::AcqRel, Ordering::Acquire);
-    }
-
-    /// Returns the cancellation reason if the token is cancelled or its
-    /// deadline has passed.
-    pub fn cancelled(&self) -> Option<CancelReason> {
-        let inner = self.inner.as_ref()?;
-        match inner.state.load(Ordering::Acquire) {
-            STATE_DEADLINE => return Some(CancelReason::Deadline),
-            STATE_SUPERSEDED => return Some(CancelReason::Superseded),
-            STATE_SHUTDOWN => return Some(CancelReason::Shutdown),
-            _ => {}
-        }
-        match inner.deadline {
-            Some(d) if Instant::now() >= d => {
-                // Latch, so the reason is stable across clones even if a
-                // later `cancel(Superseded)` races the expiry.
-                let _ = inner.state.compare_exchange(
-                    STATE_LIVE,
-                    STATE_DEADLINE,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-                Some(CancelReason::Deadline)
-            }
-            _ => None,
-        }
-    }
-
-    /// Stage-boundary poll: `Ok(())` while live, the wire-stable
-    /// [`RouteError::Cancelled`] once cancelled or past deadline.
+    /// Stage-boundary poll: `Ok(())` before the deadline, the
+    /// wire-stable [`RouteError::Cancelled`] from then on.
     ///
     /// # Errors
     ///
-    /// Returns [`RouteError::Cancelled`] with the first observed reason.
+    /// Returns [`RouteError::Cancelled`] once the deadline has passed.
     pub fn check(&self) -> Result<(), RouteError> {
-        match self.cancelled() {
-            None => Ok(()),
-            Some(reason) => Err(RouteError::Cancelled { reason }),
-        }
-    }
-}
-
-/// Tokens compare by identity (same shared state), not by value: two
-/// independently-created tokens are never equal, and every clone of a
-/// token equals its original. This is what lets `CompileOptions` keep
-/// its derived `PartialEq` while carrying a token.
-impl PartialEq for CancelToken {
-    fn eq(&self, other: &CancelToken) -> bool {
-        match (&self.inner, &other.inner) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Err(RouteError::Cancelled)
+        } else {
+            Ok(())
         }
     }
 }
@@ -167,47 +55,22 @@ mod tests {
 
     #[test]
     fn fresh_token_is_live() {
-        let token = CancelToken::new();
-        assert_eq!(token.cancelled(), None);
-        assert!(token.check().is_ok());
-    }
-
-    #[test]
-    fn cancel_is_visible_to_clones_and_first_reason_wins() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        token.cancel(CancelReason::Superseded);
-        clone.cancel(CancelReason::Shutdown); // loses the race
-        assert_eq!(clone.cancelled(), Some(CancelReason::Superseded));
-        assert_eq!(
-            token.check(),
-            Err(RouteError::Cancelled {
-                reason: CancelReason::Superseded
-            })
-        );
+        assert!(CancelToken::default().check().is_ok());
     }
 
     #[test]
     fn past_deadline_reports_deadline() {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(token.cancelled(), Some(CancelReason::Deadline));
-        // Latched: a later supersession does not relabel it.
-        token.cancel(CancelReason::Superseded);
-        assert_eq!(token.cancelled(), Some(CancelReason::Deadline));
+        assert_eq!(token.check(), Err(RouteError::Cancelled));
+        assert_eq!(
+            RouteError::Cancelled.to_string(),
+            "compile cancelled: deadline exceeded"
+        );
     }
 
     #[test]
     fn future_deadline_is_live_until_it_passes() {
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
-        assert_eq!(token.cancelled(), None);
-    }
-
-    #[test]
-    fn equality_is_identity() {
-        let a = CancelToken::new();
-        let b = CancelToken::new();
-        assert_ne!(a, b);
-        assert_eq!(a, a.clone());
-        assert_eq!(CancelToken::default(), CancelToken::default());
+        assert!(token.check().is_ok());
     }
 }

@@ -789,10 +789,10 @@ pub struct CompileOptions {
     /// Lower the schedule to a plain circuit over data ⊗ ancilla qubits
     /// (for simulation), returned in [`CompileOutput::lowered`].
     pub lower: bool,
-    /// Cancellation token polled at stage boundaries inside the routers;
-    /// the default token never fires. **Not** part of the request's
-    /// content identity: two requests that differ only in their token
-    /// share a fingerprint.
+    /// Deadline token polled at stage boundaries inside the routers;
+    /// the default token has no deadline and never fires. **Not** part
+    /// of the request's content identity: two requests that differ only
+    /// in their token share a fingerprint.
     pub cancel: CancelToken,
 }
 
@@ -827,7 +827,7 @@ impl CompileOptions {
         self
     }
 
-    /// Installs a cancellation token (deadline and/or explicit cancel).
+    /// Installs a compile deadline token.
     pub fn cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -969,7 +969,7 @@ impl Compiler {
         router.configure(self.options.router_options.as_ref())?;
         // After configure: configure replaces the router's state wholesale,
         // which would wipe a token installed earlier.
-        router.set_cancel(self.options.cancel.clone());
+        router.set_cancel(self.options.cancel);
         self.options.cancel.check().map_err(CompileError::Route)?;
         let program = router.route(workload, config)?;
         let validation = if self.options.validate {

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::cancel::CancelReason;
-
 /// Errors returned by the routers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteError {
@@ -34,13 +32,10 @@ pub enum RouteError {
         /// Second endpoint.
         b: u32,
     },
-    /// The compile was cancelled at a stage boundary via its
-    /// [`CancelToken`](crate::cancel::CancelToken) — over deadline,
-    /// superseded by a concurrent result, or shut down.
-    Cancelled {
-        /// Why the token fired.
-        reason: CancelReason,
-    },
+    /// The compile's deadline passed; its
+    /// [`CancelToken`](crate::cancel::CancelToken) stopped it at a stage
+    /// boundary.
+    Cancelled,
 }
 
 impl fmt::Display for RouteError {
@@ -64,9 +59,7 @@ impl fmt::Display for RouteError {
             RouteError::InvalidEdge { a, b } => {
                 write!(f, "invalid interaction edge ({a}, {b})")
             }
-            RouteError::Cancelled { reason } => {
-                write!(f, "compile cancelled: {reason}")
-            }
+            RouteError::Cancelled => write!(f, "compile cancelled: deadline exceeded"),
         }
     }
 }

@@ -65,7 +65,7 @@ mod schedule;
 pub mod validate;
 pub mod wire;
 
-pub use cancel::{CancelReason, CancelToken};
+pub use cancel::CancelToken;
 pub use compile::{
     compile, CompileError, CompileOptions, CompileOutput, Compiler, QaoaOptions, QaoaWorkload,
     QecOptions, QecWorkload, Router, RouterOptions, RouterTag, Workload,

@@ -479,11 +479,10 @@ fn render_dashboard(doc: &Value, prev: Option<&(std::time::Instant, Value)>) {
             .unwrap_or(false),
     );
     println!(
-        "hits {}  misses {}  coalesced {}  hedged {}  shed {}{}  deadline_misses {}",
+        "hits {}  misses {}  coalesced {}  shed {}{}  deadline_misses {}",
         stat_u64(doc, "hits"),
         stat_u64(doc, "misses"),
         stat_u64(doc, "coalesced"),
-        stat_u64(doc, "hedged"),
         stat_u64(doc, "shed"),
         rate("shed"),
         stat_u64(doc, "deadline_misses"),
@@ -509,7 +508,7 @@ fn render_dashboard(doc: &Value, prev: Option<&(std::time::Instant, Value)>) {
         // nothing is, instead of printing a bare header or a 0 ms row.
         let mut line = String::from("request_ms");
         let mut any = false;
-        for path in ["hit", "miss", "coalesced", "hedged", "shed", "error"] {
+        for path in ["hit", "miss", "coalesced", "shed", "error"] {
             let Some(row) = latency.get(path) else {
                 continue;
             };

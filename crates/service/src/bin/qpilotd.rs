@@ -3,10 +3,13 @@
 //! ```text
 //! qpilotd [--listen HOST:PORT | --stdio] [--workers N] [--queue N]
 //!         [--cache N] [--shards N] [--store DIR]
-//!         [--store-max-bytes N] [--max-compile-ms N] [--hedge-ms N]
+//!         [--store-max-bytes N] [--max-compile-ms N]
 //!         [--line-deadline-ms N] [--drain-ms N] [--faults SPEC]
 //!         [--metrics-listen HOST:PORT] [--log-json]
 //! ```
+//!
+//! An unknown flag, a flag missing its value, or a number that does not
+//! parse is a startup error (exit 2) naming the flag.
 //!
 //! Default transport is `--listen 127.0.0.1:7878`. The daemon prints
 //! `qpilotd listening on ADDR` to stdout once ready (scripts wait for
@@ -22,10 +25,9 @@
 //! `--store-max-bytes` caps the store; oldest blobs are evicted first.
 //!
 //! Resilience knobs: `--max-compile-ms` is a server-side cap applied to
-//! every compile (client `deadline_ms` values are clamped to it),
-//! `--hedge-ms` is how long a coalesced waiter tolerates its leader
-//! before launching a hedge compile, and `--line-deadline-ms` bounds
-//! how long one request line may trickle in over TCP.
+//! every compile (client `deadline_ms` values are clamped to it), and
+//! `--line-deadline-ms` bounds how long one request line may trickle in
+//! over TCP.
 //!
 //! On `SIGTERM` the daemon drains: it stops accepting connections,
 //! answers every request already received (cache hits keep being
@@ -76,6 +78,46 @@ fn install_sigterm_handler() {
     }
 }
 
+/// Flags followed by a value.
+const VALUE_FLAGS: [&str; 12] = [
+    "--listen",
+    "--workers",
+    "--queue",
+    "--cache",
+    "--shards",
+    "--store",
+    "--store-max-bytes",
+    "--max-compile-ms",
+    "--line-deadline-ms",
+    "--drain-ms",
+    "--faults",
+    "--metrics-listen",
+];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 2] = ["--stdio", "--log-json"];
+
+/// A command-line error: exits 2 before anything starts.
+fn usage_error(message: &str) -> ! {
+    eprintln!("qpilotd: {message}");
+    std::process::exit(2);
+}
+
+/// Rejects any argument that is not a known flag, and a value flag
+/// with no value after it.
+fn check_args() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            if args.next().is_none() {
+                usage_error(&format!("{arg} needs a value"));
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            usage_error(&format!("unknown flag `{arg}`"));
+        }
+    }
+}
+
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     args.iter()
@@ -84,14 +126,15 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 fn arg_num<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    arg_opt_num(name, None).unwrap_or(default)
 }
 
 fn arg_opt_num<T: std::str::FromStr>(name: &str, default: Option<T>) -> Option<T> {
     match arg_value(name) {
-        Some(v) => v.parse().ok(),
+        Some(v) => match v.parse() {
+            Ok(n) => Some(n),
+            Err(_) => usage_error(&format!("{name} expects a number, got `{v}`")),
+        },
         None => default,
     }
 }
@@ -152,6 +195,7 @@ fn drain_and_exit(server: &TcpServer, service: &Service, budget: Duration) -> ! 
 }
 
 fn main() {
+    check_args();
     // JSON event logs: the flag wins; `QPILOT_LOG=json` works for
     // wrappers that cannot alter the argv.
     let log_json = std::env::args().any(|a| a == "--log-json")
@@ -166,7 +210,6 @@ fn main() {
         cache_shards: arg_num("--shards", defaults.cache_shards),
         store_dir: store_dir.clone(),
         max_compile_ms: arg_opt_num("--max-compile-ms", defaults.max_compile_ms),
-        hedge_after_ms: arg_num("--hedge-ms", defaults.hedge_after_ms),
         store_max_bytes: arg_opt_num("--store-max-bytes", defaults.store_max_bytes),
         faults: fault_spec(),
     };

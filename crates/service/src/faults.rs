@@ -17,8 +17,8 @@
 //! | `poison-compile[:N]` | the compile panics (caught by the worker's unwind guard) |
 //!
 //! `:N` limits an arm to its first `N` firings (omitted = unlimited) —
-//! e.g. `worker-stall=400:1` wedges exactly one compile so a hedge can
-//! win, then the site goes quiet.
+//! e.g. `worker-stall=400:1` wedges exactly one compile so a waiter can
+//! coalesce onto it, then the site goes quiet.
 //!
 //! [`FaultSpec`] is the parsed, inert configuration (plain data, lives
 //! in `ServiceConfig`); [`Faults`] is the armed runtime with atomic

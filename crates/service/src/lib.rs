@@ -79,7 +79,7 @@ pub use qpilot_core::compile::{
     CompileError, CompileOptions, Compiler, QaoaOptions, QaoaWorkload, RouterOptions, RouterTag,
     Workload,
 };
-pub use qpilot_core::{CancelReason, CancelToken};
+pub use qpilot_core::CancelToken;
 pub use reactor::{LineHandler, ReactorOptions, ReactorServer};
 pub use server::{serve_lines, serve_stdio, ServerOptions, TcpServer, MAX_REQUEST_LINE_BYTES};
 pub use shard::ShardRing;

@@ -4,9 +4,9 @@
 //! latency labelled by serving path, and the service-side pipeline
 //! spans (`parse`, `fingerprint`, `cache_probe`, `store_write`). The
 //! router stage histograms live in [`qpilot_core::obs::ROUTE_STAGES`];
-//! [`render_exposition`] walks both registries plus the service
-//! counters and renders Prometheus **text exposition format v0.0.4** —
-//! the exact bytes served by the `metrics` protocol op and by
+//! [`render_exposition`] snapshots both registries plus the service
+//! counters once and renders Prometheus **text exposition format
+//! v0.0.4** — the exact bytes served by the `metrics` protocol op and by
 //! `qpilotd --metrics-listen ADDR` over plain HTTP GET.
 //!
 //! Latency metrics are rendered as Prometheus *summaries* (p50/p90/p99
@@ -14,8 +14,9 @@
 //! deterministic — the golden tests in this module depend on it, and so
 //! may downstream scrape diffing.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::time::Duration;
 
 use qpilot_core::json::fmt_f64;
 use qpilot_core::obs::{Histogram, HistogramSnapshot, ROUTE_STAGES};
@@ -29,20 +30,16 @@ pub static REQUEST_MISS: Histogram = Histogram::new();
 /// Request latency, attached to an in-flight compile
 /// (`path="coalesced"`).
 pub static REQUEST_COALESCED: Histogram = Histogram::new();
-/// Request latency, answered by a winning hedge compile
-/// (`path="hedged"`).
-pub static REQUEST_HEDGED: Histogram = Histogram::new();
 /// Request latency, shed with `Overloaded` (`path="shed"`).
 pub static REQUEST_SHED: Histogram = Histogram::new();
 /// Request latency, any other failure (`path="error"`).
 pub static REQUEST_ERROR: Histogram = Histogram::new();
 
 /// Every request-latency series, in exposition order.
-pub static REQUEST_PATHS: [(&str, &Histogram); 6] = [
+pub static REQUEST_PATHS: [(&str, &Histogram); 5] = [
     ("hit", &REQUEST_HIT),
     ("miss", &REQUEST_MISS),
     ("coalesced", &REQUEST_COALESCED),
-    ("hedged", &REQUEST_HEDGED),
     ("shed", &REQUEST_SHED),
     ("error", &REQUEST_ERROR),
 ];
@@ -131,14 +128,47 @@ fn push_summary_header(out: &mut String, name: &str, help: &str) {
 /// spans, and one summary series per router stage from
 /// [`qpilot_core::obs::ROUTE_STAGES`]. Line order is deterministic.
 pub fn render_exposition(service: &Service) -> String {
-    let stats = service.stats();
-    let compile = service.compile_latency_snapshot();
-    render_exposition_parts(&stats, &compile)
+    render(&Snapshot::capture(
+        service.stats(),
+        service.compile_latency_snapshot(),
+    ))
 }
 
-/// [`render_exposition`] over pre-snapshotted parts (testable without a
-/// live worker pool).
-pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot) -> String {
+/// Every series of one exposition, read once. The request, service and
+/// route histograms are process-wide and other threads keep recording
+/// into them, so a render reads only this capture.
+struct Snapshot {
+    stats: ServiceStats,
+    compile: HistogramSnapshot,
+    request_paths: Vec<(&'static str, HistogramSnapshot)>,
+    service_stages: Vec<(&'static str, HistogramSnapshot)>,
+    /// `(router, stage, histogram)` in [`ROUTE_STAGES`] order.
+    route_stages: Vec<(&'static str, &'static str, HistogramSnapshot)>,
+}
+
+impl Snapshot {
+    /// Reads the process-wide histograms next to the service's own
+    /// counters and compile latency.
+    fn capture(stats: ServiceStats, compile: HistogramSnapshot) -> Snapshot {
+        let named = |series: &[(&'static str, &'static Histogram)]| {
+            series.iter().map(|(n, h)| (*n, h.snapshot())).collect()
+        };
+        Snapshot {
+            stats,
+            compile,
+            request_paths: named(&REQUEST_PATHS),
+            service_stages: named(&SERVICE_STAGES),
+            route_stages: ROUTE_STAGES
+                .iter()
+                .map(|s| (s.router, s.stage, s.histogram.snapshot()))
+                .collect(),
+        }
+    }
+}
+
+/// Renders one [`Snapshot`] in the fixed line order.
+fn render(snap: &Snapshot) -> String {
+    let stats = &snap.stats;
     let mut out = String::with_capacity(4096);
     push_counter(
         &mut out,
@@ -169,18 +199,6 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_coalesced_total",
         "Requests attached to an in-flight identical compile.",
         stats.coalesced,
-    );
-    push_counter(
-        &mut out,
-        "qpilot_hedged_total",
-        "Hedge compiles launched after a leader timeout.",
-        stats.hedged,
-    );
-    push_counter(
-        &mut out,
-        "qpilot_leader_timeouts_total",
-        "Coalesced-waiter leader timeouts fired.",
-        stats.leader_timeouts,
     );
     push_counter(
         &mut out,
@@ -224,19 +242,19 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_compile_seconds",
         "Compile wall-clock per executed compilation.",
     );
-    push_summary_series(&mut out, "qpilot_compile_seconds", "", compile);
+    push_summary_series(&mut out, "qpilot_compile_seconds", "", &snap.compile);
 
     push_summary_header(
         &mut out,
         "qpilot_request_seconds",
         "End-to-end request latency by serving path.",
     );
-    for (path, h) in REQUEST_PATHS {
+    for (path, h) in &snap.request_paths {
         push_summary_series(
             &mut out,
             "qpilot_request_seconds",
             &format!("path=\"{path}\""),
-            &h.snapshot(),
+            h,
         );
     }
 
@@ -245,12 +263,12 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_service_stage_seconds",
         "Service pipeline span latency by stage.",
     );
-    for (stage, h) in SERVICE_STAGES {
+    for (stage, h) in &snap.service_stages {
         push_summary_series(
             &mut out,
             "qpilot_service_stage_seconds",
             &format!("stage=\"{stage}\""),
-            &h.snapshot(),
+            h,
         );
     }
 
@@ -259,12 +277,12 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
         "qpilot_route_stage_seconds",
         "Router stage time per route call, by router and stage.",
     );
-    for s in &ROUTE_STAGES {
+    for (router, stage, h) in &snap.route_stages {
         push_summary_series(
             &mut out,
             "qpilot_route_stage_seconds",
-            &format!("router=\"{}\",stage=\"{}\"", s.router, s.stage),
-            &s.histogram.snapshot(),
+            &format!("router=\"{router}\",stage=\"{stage}\""),
+            h,
         );
     }
     out
@@ -272,6 +290,14 @@ pub fn render_exposition_parts(stats: &ServiceStats, compile: &HistogramSnapshot
 
 /// The Content-Type for the exposition bytes, on both wire surfaces.
 pub const EXPOSITION_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// Most request-head bytes the HTTP surface reads before it replies. A
+/// scraper's head is a few hundred bytes.
+const MAX_HEAD_BYTES: u64 = 8 * 1024;
+
+/// How long one read of the request head may wait for bytes. Scrapers
+/// send their head at once.
+const HEAD_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Binds `addr` and serves the exposition over plain HTTP GET on a
 /// background thread (any path, `Connection: close`; the thread runs
@@ -295,9 +321,12 @@ pub fn serve_http(addr: &str, service: Service) -> std::io::Result<SocketAddr> {
             // One short-lived thread per scrape: scrapes are rare and
             // the handler must never block the accept loop.
             std::thread::spawn(move || {
-                let mut reader = BufReader::new(stream);
-                // Drain the request head; the reply is the same for
-                // every path.
+                // Drain the request head, bounded in bytes and in read
+                // time so a client that never ends it cannot grow this
+                // buffer or hold this thread. The reply is the same for
+                // every path, so a cut-off head is answered too.
+                let _ = stream.set_read_timeout(Some(HEAD_TIMEOUT));
+                let mut reader = BufReader::new((&stream).take(MAX_HEAD_BYTES));
                 let mut line = String::new();
                 while reader.read_line(&mut line).is_ok() {
                     if line == "\r\n" || line == "\n" || line.is_empty() {
@@ -310,7 +339,7 @@ pub fn serve_http(addr: &str, service: Service) -> std::io::Result<SocketAddr> {
                     "HTTP/1.1 200 OK\r\nContent-Type: {EXPOSITION_CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
                     body.len()
                 );
-                let mut stream = reader.into_inner();
+                let mut stream = stream;
                 let _ = stream.write_all(head.as_bytes());
                 let _ = stream.write_all(body.as_bytes());
                 let _ = stream.flush();
@@ -324,6 +353,7 @@ pub fn serve_http(addr: &str, service: Service) -> std::io::Result<SocketAddr> {
 mod tests {
     use super::*;
     use qpilot_core::obs::Histogram;
+    use std::net::TcpStream;
 
     fn zero_stats() -> ServiceStats {
         ServiceStats {
@@ -337,8 +367,6 @@ mod tests {
             cache_bytes: 512,
             compiles: 2,
             coalesced: 0,
-            hedged: 0,
-            leader_timeouts: 0,
             shed: 0,
             deadline_misses: 0,
             draining: false,
@@ -352,13 +380,13 @@ mod tests {
     }
 
     /// Golden test: the exposition is line-order-stable and well formed.
-    /// (Uses only pre-snapshotted parts, so concurrent tests recording
+    /// (The head comes from fixed stats, so concurrent tests recording
     /// into the global histograms cannot perturb it.)
     #[test]
     fn exposition_head_is_golden() {
         let compile = Histogram::new();
         compile.record_ns(1_000_000);
-        let text = render_exposition_parts(&zero_stats(), &compile.snapshot());
+        let text = render(&Snapshot::capture(zero_stats(), compile.snapshot()));
         let expected_head = "\
 # HELP qpilot_requests_total Compile requests handled (hits + misses).
 # TYPE qpilot_requests_total counter
@@ -387,25 +415,25 @@ qpilot_cache_hits_total 1
         }
     }
 
-    /// The full render is identical across calls on identical inputs
-    /// (line-order stability, satellite requirement).
+    /// One snapshot renders to the same bytes every time (line-order
+    /// stability). Concurrent tests record into the global histograms,
+    /// so only a captured snapshot has fixed inputs.
     #[test]
     fn exposition_is_deterministic() {
         let compile = Histogram::new();
         compile.record_ns(42_000);
-        let snap = compile.snapshot();
-        let stats = zero_stats();
-        assert_eq!(
-            render_exposition_parts(&stats, &snap),
-            render_exposition_parts(&stats, &snap)
-        );
+        let snap = Snapshot::capture(zero_stats(), compile.snapshot());
+        assert_eq!(render(&snap), render(&snap));
     }
 
     /// Every router/stage pair from the core registry appears as a
     /// labelled series.
     #[test]
     fn exposition_covers_every_route_stage() {
-        let text = render_exposition_parts(&zero_stats(), &Histogram::new().snapshot());
+        let text = render(&Snapshot::capture(
+            zero_stats(),
+            Histogram::new().snapshot(),
+        ));
         for s in &qpilot_core::obs::ROUTE_STAGES {
             let label = format!(
                 "qpilot_route_stage_seconds_count{{router=\"{}\",stage=\"{}\"}}",
@@ -454,6 +482,48 @@ qpilot_cache_hits_total 1
             &live.snapshot(),
         );
         assert!(out.contains("quantile=\"0.99\""), "{out}");
+    }
+
+    fn metrics_endpoint() -> SocketAddr {
+        let service = Service::new(crate::pool::ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        serve_http("127.0.0.1:0", service).expect("bind metrics endpoint")
+    }
+
+    /// Reads until the endpoint closes or `within` passes. `Ok` holds
+    /// whatever reply arrived; a reset means the endpoint hung up on
+    /// unread input, which is also a prompt answer.
+    fn read_reply(stream: &mut TcpStream, within: Duration) -> std::io::Result<Vec<u8>> {
+        stream.set_read_timeout(Some(within))?;
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => Ok(reply),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => Ok(reply),
+            Err(e) => Err(e),
+        }
+    }
+
+    #[test]
+    fn an_over_cap_request_head_is_answered_before_the_read_timeout() {
+        let mut stream = TcpStream::connect(metrics_endpoint()).unwrap();
+        // One header line eight times the cap, and no newline.
+        let _ = stream.write_all(&vec![b'x'; 8 * MAX_HEAD_BYTES as usize]);
+        let started = std::time::Instant::now();
+        read_reply(&mut stream, HEAD_TIMEOUT).expect("the endpoint must not wait for more");
+        assert!(started.elapsed() < HEAD_TIMEOUT);
+    }
+
+    #[test]
+    fn a_stalled_request_head_is_answered_after_the_read_timeout() {
+        let mut stream = TcpStream::connect(metrics_endpoint()).unwrap();
+        // A head that never sends its closing blank line.
+        stream
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: scraper\r\n")
+            .unwrap();
+        let reply = read_reply(&mut stream, HEAD_TIMEOUT * 3).expect("answered");
+        assert!(reply.starts_with(b"HTTP/1.1 200 OK\r\n"));
     }
 
     #[test]

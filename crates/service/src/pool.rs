@@ -45,13 +45,10 @@
 //!   job's [`CancelToken`], checked at stage boundaries inside the
 //!   routers, so an over-deadline compile aborts cleanly with
 //!   [`ServiceError::Deadline`] instead of occupying a worker; the
-//!   submitter stops waiting at the same instant.
-//! * **Hedged coalescing** — a coalesced waiter whose leader has not
-//!   answered within [`ServiceConfig::hedge_after_ms`] launches one
-//!   hedge compile for the same fingerprint. First completion wins and
-//!   cancels the other token ([`CancelReason::Superseded`]); a
-//!   superseded compile resolves to the winner's cached bytes, so the
-//!   byte-identity contract holds across hedges.
+//!   submitter stops waiting at the same instant. A coalesced waiter
+//!   waits for its leader until its *own* effective deadline; if the
+//!   leader's shorter deadline fails the compile first, the waiter
+//!   re-submits and leads a compile under its own clock.
 //! * **Degradation ladder** — under pressure the service sheds in
 //!   order: cache hits are *always* served; queue-full misses are
 //!   rejected with [`ServiceError::Overloaded`] carrying a
@@ -77,8 +74,7 @@ use qpilot_core::compile::{self, CompileOptions, Compiler};
 use qpilot_core::obs;
 use qpilot_core::wire::schedule_to_json;
 use qpilot_core::{
-    CancelReason, CancelToken, CompileError, FpqaConfig, RouteError, RouterOptions, RouterTag,
-    Workload,
+    CancelToken, CompileError, FpqaConfig, RouteError, RouterOptions, RouterTag, Workload,
 };
 
 use crate::cache::{CacheCounters, CacheEntry, ScheduleCache};
@@ -106,8 +102,7 @@ pub struct CompileRequest {
     pub deadline_ms: Option<u64>,
     /// Caller-chosen request id, echoed in every reply for this request
     /// (`None` = the protocol layer assigns one). **Not** part of the
-    /// content fingerprint, and propagated unchanged through coalescing
-    /// and hedging.
+    /// content fingerprint, and propagated unchanged through coalescing.
     pub request_id: Option<String>,
 }
 
@@ -170,7 +165,7 @@ impl CompileRequest {
     }
 
     /// The per-request pipeline options handed to a worker's
-    /// [`Compiler`], carrying the job's cancel token into the router's
+    /// [`Compiler`], carrying the job's deadline token into the router's
     /// stage loop.
     fn compile_options(&self, cancel: CancelToken) -> CompileOptions {
         CompileOptions {
@@ -221,11 +216,6 @@ pub struct ServiceConfig {
     /// every request and capping any client `deadline_ms` (`None` = no
     /// server-side deadline).
     pub max_compile_ms: Option<u64>,
-    /// Milliseconds a coalesced waiter tolerates a silent leader before
-    /// launching one hedge compile. The default (1000 ms) sits far above
-    /// normal compile latency, so the default path never hedges and the
-    /// zero-duplicate-compile contract is undisturbed.
-    pub hedge_after_ms: u64,
     /// Persistent-store byte budget: on insert, oldest blobs are evicted
     /// until tracked bytes fit (`None` = unbounded).
     pub store_max_bytes: Option<u64>,
@@ -245,7 +235,6 @@ impl Default for ServiceConfig {
             cache_shards: 16,
             store_dir: None,
             max_compile_ms: None,
-            hedge_after_ms: 1000,
             store_max_bytes: None,
             faults: FaultSpec::default(),
         }
@@ -320,22 +309,17 @@ pub struct CompileResponse {
     /// `true` if this request attached to a concurrent identical
     /// compile instead of running its own.
     pub coalesced: bool,
-    /// `true` if the result came from a hedge compile launched after a
-    /// leader timeout.
-    pub hedged: bool,
     /// The cached entry (serialised schedule + stats).
     pub entry: Arc<CacheEntry>,
 }
 
 impl CompileResponse {
     /// The serving path echoed in replies and used as the
-    /// request-latency metric label: `hedged` > `hit` > `coalesced` >
-    /// `miss` (the degradation-ladder failure paths `shed`/`error` come
-    /// from [`ServiceError`], not from a response).
+    /// request-latency metric label: `hit` > `coalesced` > `miss` (the
+    /// degradation-ladder failure paths `shed`/`error` come from
+    /// [`ServiceError`], not from a response).
     pub fn path(&self) -> &'static str {
-        if self.hedged {
-            "hedged"
-        } else if self.cache_hit {
+        if self.cache_hit {
             "hit"
         } else if self.coalesced {
             "coalesced"
@@ -360,10 +344,6 @@ pub struct ServiceStats {
     pub compiles: u64,
     /// Requests that attached to an in-flight identical compile.
     pub coalesced: u64,
-    /// Hedge compiles launched after a leader timeout.
-    pub hedged: u64,
-    /// Times a coalesced waiter's leader-timeout fired.
-    pub leader_timeouts: u64,
     /// Requests shed with `Overloaded` by the degradation ladder.
     pub shed: u64,
     /// Requests that missed their effective deadline.
@@ -416,26 +396,13 @@ type Reply = mpsc::Sender<Result<CompileResponse, ServiceError>>;
 struct Job {
     request: CompileRequest,
     fingerprint: Fingerprint,
+    /// The leader's reply channel.
     reply: Reply,
-    /// Cancelled on deadline expiry (armed at enqueue), supersession
-    /// (another compile for this fingerprint won) or shutdown; the
-    /// routers check it at stage boundaries.
+    /// The effective deadline, armed at enqueue; the routers check it at
+    /// stage boundaries.
     cancel: CancelToken,
     /// The effective deadline, for rendering [`ServiceError::Deadline`].
     deadline_ms: Option<u64>,
-    /// `true` for a hedge compile launched after a leader timeout; its
-    /// results are marked [`CompileResponse::hedged`].
-    hedged: bool,
-}
-
-/// The in-flight record for one fingerprint: the coalesced waiters plus
-/// every live compile's cancel token (leader, and at most one hedge).
-struct Inflight {
-    waiters: Vec<Reply>,
-    cancels: Vec<CancelToken>,
-    /// `true` once a hedge was launched (or attempted) — at most one
-    /// hedge per fingerprint, no matter how many waiters time out.
-    hedged: bool,
 }
 
 /// State shared with worker threads.
@@ -447,71 +414,33 @@ struct WorkerCtx {
     latencies: obs::Histogram,
     compiles: AtomicU64,
     coalesced: AtomicU64,
-    hedged: AtomicU64,
-    leader_timeouts: AtomicU64,
     shed: AtomicU64,
     deadline_misses: AtomicU64,
     /// Fingerprints with a compile queued or running, mapping to the
-    /// reply channels of every coalesced waiter and the cancel tokens of
-    /// every live compile. Presence of a key — even with no waiters yet —
-    /// marks the fingerprint as in-flight.
-    inflight: Mutex<HashMap<Fingerprint, Inflight>>,
+    /// reply channels of every coalesced waiter. Presence of a key —
+    /// even with no waiters yet — marks the fingerprint as in-flight;
+    /// each key has exactly one job.
+    inflight: Mutex<HashMap<Fingerprint, Vec<Reply>>>,
     store: Option<Arc<ScheduleStore>>,
     store_loaded: u64,
     faults: Arc<Faults>,
 }
 
 impl WorkerCtx {
-    /// First completion wins: the worker that finishes first removes the
-    /// whole in-flight record (waiters *and* tokens); a later worker for
-    /// the same fingerprint gets `None` and answers only its own job.
-    fn take_inflight(&self, fingerprint: &Fingerprint) -> Option<Inflight> {
+    /// Ends the in-flight record for a fingerprint, returning its
+    /// coalesced waiters.
+    fn take_waiters(&self, fingerprint: &Fingerprint) -> Vec<Reply> {
         self.inflight
             .lock()
             .expect("inflight lock")
             .remove(fingerprint)
-    }
-
-    /// Resolves a cancelled compile. A superseded job lost a
-    /// first-completion race, so the winner's bytes are (almost always)
-    /// in the cache — serve them, preserving byte identity across
-    /// hedges. Deadline and shutdown cancellations map to their service
-    /// errors.
-    fn resolve_cancelled(
-        &self,
-        reason: CancelReason,
-        job: &Job,
-    ) -> Result<CompileResponse, ServiceError> {
-        if reason == CancelReason::Superseded {
-            if let Some(entry) = self.cache.get_untracked(&job.fingerprint) {
-                return Ok(CompileResponse {
-                    fingerprint: job.fingerprint,
-                    router: job.request.router(),
-                    cache_hit: true,
-                    coalesced: false,
-                    hedged: false,
-                    entry,
-                });
-            }
-        }
-        Err(match reason {
-            CancelReason::Deadline => ServiceError::Deadline {
-                deadline_ms: job.deadline_ms.unwrap_or(0),
-            },
-            CancelReason::Shutdown => ServiceError::ShuttingDown,
-            // The winner errored (its failure already reached the
-            // waiters) and evicted nothing into the cache.
-            CancelReason::Superseded => {
-                ServiceError::Internal("superseded compile found no winning result".to_string())
-            }
-        })
+            .unwrap_or_default()
     }
 
     /// Compile-and-cache on a miss; double-checks the cache first so a
-    /// request that raced past the waiter map (enqueued after the
-    /// previous leader finished, or stalled behind a winning hedge)
-    /// never compiles twice. The re-probe is untracked: the request
-    /// already counted its miss.
+    /// request that raced past the waiter map (enqueued just after the
+    /// previous leader finished) never compiles twice. The re-probe is
+    /// untracked: the request already counted its miss.
     fn run(&self, compiler: &mut Compiler, job: &Job) -> Result<CompileResponse, ServiceError> {
         // Chaos site: wedge this worker before it looks at the job.
         self.faults.worker_stall();
@@ -521,26 +450,26 @@ impl WorkerCtx {
                 router: job.request.router(),
                 cache_hit: true,
                 coalesced: false,
-                hedged: false,
                 entry,
             });
         }
-        // A job already over its deadline (or superseded while queued)
-        // aborts before costing any routing work.
-        if let Some(reason) = job.cancel.cancelled() {
-            return self.resolve_cancelled(reason, job);
+        let missed = ServiceError::Deadline {
+            deadline_ms: job.deadline_ms.unwrap_or(0),
+        };
+        // A job already over its deadline aborts before costing any
+        // routing work.
+        if job.cancel.check().is_err() {
+            return Err(missed);
         }
         if self.faults.poison_compile() {
             panic!("injected fault: poisoned compile");
         }
         let config = job.request.config();
         let started = Instant::now();
-        compiler.set_options(job.request.compile_options(job.cancel.clone()));
+        compiler.set_options(job.request.compile_options(job.cancel));
         let program = match compiler.compile(&job.request.workload, &config) {
             Ok(routed) => routed.into_program(),
-            Err(CompileError::Route(RouteError::Cancelled { reason })) => {
-                return self.resolve_cancelled(reason, job)
-            }
+            Err(CompileError::Route(RouteError::Cancelled)) => return Err(missed),
             Err(e) => return Err(ServiceError::Compile(e)),
         };
         let stats = *program.stats();
@@ -576,7 +505,6 @@ impl WorkerCtx {
             router: job.request.router(),
             cache_hit: false,
             coalesced: false,
-            hedged: false,
             entry,
         })
     }
@@ -596,7 +524,6 @@ struct Shared {
     workers: usize,
     queue_capacity: usize,
     max_compile_ms: Option<u64>,
-    hedge_after_ms: u64,
     /// Set by [`Service::begin_drain`]: reject new misses, keep serving
     /// hits and finishing in-flight work.
     draining: AtomicBool,
@@ -660,8 +587,6 @@ impl Service {
             latencies: obs::Histogram::new(),
             compiles: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            hedged: AtomicU64::new(0),
-            leader_timeouts: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             inflight: Mutex::new(HashMap::new()),
@@ -697,51 +622,17 @@ impl Service {
                                 .unwrap_or_else(|| "unknown panic".to_string());
                             Err(ServiceError::Internal(message))
                         });
-                        // First completion wins: whoever takes the
-                        // in-flight record answers the coalesced waiters
-                        // — *after* the cache insert (inside `run`), so
-                        // any submitter arriving later either hits the
-                        // cache or starts a fresh in-flight entry. A
-                        // loser (record already taken) answers only its
-                        // own submitter, usually with the winner's
-                        // cached bytes via the superseded path.
-                        match ctx.take_inflight(&job.fingerprint) {
-                            Some(inflight) => {
-                                // A winning result supersedes the other
-                                // live compiles for this fingerprint; a
-                                // failure lets them run on (fail-fast for
-                                // the waiters, but a late hedge may still
-                                // warm the cache for retries).
-                                if result.is_ok() {
-                                    for token in &inflight.cancels {
-                                        if token != &job.cancel {
-                                            token.cancel(CancelReason::Superseded);
-                                        }
-                                    }
-                                }
-                                // A winning hedge marks every reply it
-                                // serves, so clients (and the latency
-                                // metrics) can tell the recovery path
-                                // from a healthy leader.
-                                let result = match result {
-                                    Ok(mut r) if job.hedged => {
-                                        r.hedged = true;
-                                        Ok(r)
-                                    }
-                                    other => other,
-                                };
-                                for waiter in inflight.waiters {
-                                    let _ = waiter.send(result.clone().map(|r| CompileResponse {
-                                        coalesced: true,
-                                        ..r
-                                    }));
-                                }
-                                let _ = job.reply.send(result);
-                            }
-                            None => {
-                                let _ = job.reply.send(result);
-                            }
+                        // Answer the coalesced waiters *after* the cache
+                        // insert (inside `run`), so any submitter arriving
+                        // later either hits the cache or starts a fresh
+                        // in-flight entry.
+                        for waiter in ctx.take_waiters(&job.fingerprint) {
+                            let _ = waiter.send(result.clone().map(|r| CompileResponse {
+                                coalesced: true,
+                                ..r
+                            }));
                         }
+                        let _ = job.reply.send(result);
                     }
                 })
             })
@@ -754,7 +645,6 @@ impl Service {
                 workers,
                 queue_capacity: config.queue_capacity.max(1),
                 max_compile_ms: config.max_compile_ms,
-                hedge_after_ms: config.hedge_after_ms,
                 draining: AtomicBool::new(false),
                 handles: Mutex::new(handles),
             }),
@@ -818,6 +708,7 @@ impl Service {
             let _span = obs::Span::start(&crate::metrics::STAGE_FINGERPRINT);
             request.fingerprint()
         };
+        let router = request.router();
         let ctx = &self.shared.ctx;
         // Rung 0 of the degradation ladder: hits are served from the
         // caller thread, always — even while overloaded or draining. The
@@ -829,10 +720,9 @@ impl Service {
         if let Some(entry) = probed {
             return Ok(CompileResponse {
                 fingerprint,
-                router: request.router(),
+                router,
                 cache_hit: true,
                 coalesced: false,
-                hedged: false,
                 entry,
             });
         }
@@ -854,38 +744,22 @@ impl Service {
             // the leader (registers the in-flight entry, enqueues the one
             // job); every concurrent miss attaches its reply channel
             // instead.
-            let cancel = match deadline_at {
-                Some(at) => CancelToken::with_deadline(at),
-                None => CancelToken::new(),
-            };
-            let is_leader = {
+            let leader_reply = {
                 let mut inflight = ctx.inflight.lock().expect("inflight lock");
                 match inflight.entry(fingerprint) {
                     Entry::Occupied(mut slot) => {
-                        slot.get_mut().waiters.push(reply_tx.clone());
-                        false
+                        slot.get_mut().push(reply_tx);
+                        None
                     }
                     Entry::Vacant(slot) => {
-                        slot.insert(Inflight {
-                            waiters: Vec::new(),
-                            cancels: vec![cancel.clone()],
-                            hedged: false,
-                        });
-                        true
+                        slot.insert(Vec::new());
+                        Some(reply_tx)
                     }
                 }
             };
-            if !is_leader {
+            let Some(reply) = leader_reply else {
                 ctx.coalesced.fetch_add(1, Ordering::Relaxed);
-                let req = request.as_ref().expect("unsent request");
-                let result = self.await_result(
-                    &reply_rx,
-                    &reply_tx,
-                    Some(req),
-                    fingerprint,
-                    deadline_at,
-                    deadline_ms,
-                )?;
+                let result = self.await_result(&reply_rx, deadline_at, deadline_ms);
                 // A blocking caller coalesced under a fail-fast leader
                 // can see that leader's `Overloaded`; its own contract is
                 // to block, so it re-submits (re-probing the cache and,
@@ -898,172 +772,72 @@ impl Service {
                 // under its own clock.
                 let leaders_deadline = matches!(result, Err(ServiceError::Deadline { .. }))
                     && deadline_at.is_none_or(|d| Instant::now() < d);
-                if leaders_overload || leaders_deadline {
-                    if let Some(entry) = ctx.cache.get_untracked(&fingerprint) {
-                        return Ok(CompileResponse {
-                            fingerprint,
-                            router: req.router(),
-                            cache_hit: true,
-                            coalesced: false,
-                            hedged: false,
-                            entry,
-                        });
-                    }
-                    continue;
+                if !(leaders_overload || leaders_deadline) {
+                    return result;
                 }
-                return result;
-            }
+                if let Some(entry) = ctx.cache.get_untracked(&fingerprint) {
+                    return Ok(CompileResponse {
+                        fingerprint,
+                        router,
+                        cache_hit: true,
+                        coalesced: false,
+                        entry,
+                    });
+                }
+                continue;
+            };
             let job = Job {
                 request: request.take().expect("leader submits once"),
                 fingerprint,
-                reply: reply_tx.clone(),
-                cancel,
+                reply,
+                cancel: deadline_at.map_or_else(CancelToken::default, CancelToken::with_deadline),
                 deadline_ms,
-                hedged: false,
             };
             if let Err(e) = self.enqueue(job, fail_fast) {
                 // Leadership failed before a worker could take over: the
                 // waiters that attached in the window get the same error
                 // (blocking waiters retry above), or nobody would ever
                 // answer them.
-                if let Some(inflight) = ctx.take_inflight(&fingerprint) {
-                    for waiter in inflight.waiters {
-                        let _ = waiter.send(Err(e.clone()));
-                    }
+                for waiter in ctx.take_waiters(&fingerprint) {
+                    let _ = waiter.send(Err(e.clone()));
                 }
                 return Err(e);
             }
-            // The leader never hedges against itself: its own job is the
-            // one a hedge would duplicate.
-            return self.await_result(
-                &reply_rx,
-                &reply_tx,
-                None,
-                fingerprint,
-                deadline_at,
-                deadline_ms,
-            )?;
+            return self.await_result(&reply_rx, deadline_at, deadline_ms);
         }
     }
 
-    /// Waits on a reply channel with two timers: the request's effective
-    /// deadline (returns [`ServiceError::Deadline`] the moment it
-    /// passes; the armed token aborts the worker independently) and —
-    /// for coalesced waiters only — the hedge timer
-    /// ([`ServiceConfig::hedge_after_ms`]), which launches one hedge
-    /// compile and keeps waiting for whichever compile answers first.
-    ///
-    /// The outer `Result` is the transport (`Err` = pool shut down); the
-    /// inner one is the compile outcome, which `submit` may retry.
-    #[allow(clippy::type_complexity)]
+    /// Waits on a reply channel until the request's effective deadline,
+    /// returning [`ServiceError::Deadline`] the moment it passes (the
+    /// armed token aborts the worker independently), or
+    /// [`ServiceError::ShuttingDown`] if the pool dropped the request.
     fn await_result(
         &self,
         reply_rx: &mpsc::Receiver<Result<CompileResponse, ServiceError>>,
-        reply_tx: &Reply,
-        hedge: Option<&CompileRequest>,
-        fingerprint: Fingerprint,
         deadline_at: Option<Instant>,
         deadline_ms: Option<u64>,
-    ) -> Result<Result<CompileResponse, ServiceError>, ServiceError> {
-        let ctx = &self.shared.ctx;
-        let mut hedge_at =
-            hedge.map(|_| Instant::now() + Duration::from_millis(self.shared.hedge_after_ms));
-        loop {
-            let wake = match (deadline_at, hedge_at) {
-                (Some(d), Some(h)) => Some(d.min(h)),
-                (d, h) => d.or(h),
-            };
-            let Some(wake) = wake else {
-                return reply_rx.recv().map_err(|_| ServiceError::ShuttingDown);
-            };
-            match reply_rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-                Ok(result) => {
-                    if let Err(ServiceError::Deadline { .. }) = &result {
-                        // Count only this request's own expiry; an
-                        // inherited deadline error is retried upstream.
-                        if deadline_at.is_some_and(|d| Instant::now() >= d) {
-                            ctx.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    return Ok(result);
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(ServiceError::ShuttingDown)
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    if deadline_at.is_some_and(|d| now >= d) {
-                        // The token's deadline latch fires on its own in
-                        // the worker; the submitter stops waiting here.
-                        ctx.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Err(ServiceError::Deadline {
-                            deadline_ms: deadline_ms.unwrap_or(0),
-                        }));
-                    }
-                    if hedge_at.is_some_and(|h| now >= h) {
-                        hedge_at = None; // one hedge attempt per waiter
-                        if let Some(request) = hedge {
-                            self.try_hedge(
-                                request,
-                                fingerprint,
-                                deadline_at,
-                                deadline_ms,
-                                reply_tx,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Launches at most one hedge compile for an in-flight fingerprint
-    /// whose leader went quiet. The hedge enqueues fail-fast (it must
-    /// never add backpressure); its reply channel is the hedging
-    /// waiter's own, so whichever compile finishes first answers — the
-    /// waiter is also still on the waiter list, and `recv` takes the
-    /// first message.
-    fn try_hedge(
-        &self,
-        request: &CompileRequest,
-        fingerprint: Fingerprint,
-        deadline_at: Option<Instant>,
-        deadline_ms: Option<u64>,
-        reply: &Reply,
-    ) {
-        let ctx = &self.shared.ctx;
-        let cancel = match deadline_at {
-            Some(at) => CancelToken::with_deadline(at),
-            None => CancelToken::new(),
+    ) -> Result<CompileResponse, ServiceError> {
+        let result = match deadline_at {
+            None => reply_rx.recv().unwrap_or(Err(ServiceError::ShuttingDown)),
+            Some(at) => match reply_rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                Ok(result) => result,
+                Err(mpsc::RecvTimeoutError::Timeout) => Err(ServiceError::Deadline {
+                    deadline_ms: deadline_ms.unwrap_or(0),
+                }),
+                Err(mpsc::RecvTimeoutError::Disconnected) => Err(ServiceError::ShuttingDown),
+            },
         };
+        // Count only this request's own expiry; an inherited deadline
+        // error is retried upstream.
+        if matches!(result, Err(ServiceError::Deadline { .. }))
+            && deadline_at.is_some_and(|d| Instant::now() >= d)
         {
-            let mut inflight = ctx.inflight.lock().expect("inflight lock");
-            let Some(slot) = inflight.get_mut(&fingerprint) else {
-                return; // the compile just finished; its answer is en route
-            };
-            if slot.hedged {
-                return;
-            }
-            slot.hedged = true;
-            slot.cancels.push(cancel.clone());
-            ctx.leader_timeouts.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .ctx
+                .deadline_misses
+                .fetch_add(1, Ordering::Relaxed);
         }
-        let job = Job {
-            request: request.clone(),
-            fingerprint,
-            reply: reply.clone(),
-            cancel,
-            deadline_ms,
-            hedged: true,
-        };
-        let guard = self.shared.queue.lock().expect("queue lock");
-        if let Some(tx) = guard.as_ref() {
-            if tx.try_send(job).is_ok() {
-                ctx.hedged.fetch_add(1, Ordering::Relaxed);
-            }
-            // Queue full: the waiter simply keeps waiting for the
-            // original leader — a hedge is opportunistic, never owed.
-        }
+        result
     }
 
     fn enqueue(&self, job: Job, fail_fast: bool) -> Result<(), ServiceError> {
@@ -1186,8 +960,6 @@ impl Service {
             cache_bytes: ctx.cache.bytes(),
             compiles: ctx.compiles.load(Ordering::Relaxed),
             coalesced: ctx.coalesced.load(Ordering::Relaxed),
-            hedged: ctx.hedged.load(Ordering::Relaxed),
-            leader_timeouts: ctx.leader_timeouts.load(Ordering::Relaxed),
             shed: ctx.shed.load(Ordering::Relaxed),
             deadline_misses: ctx.deadline_misses.load(Ordering::Relaxed),
             draining: self.shared.draining.load(Ordering::Relaxed),
@@ -1602,16 +1374,24 @@ mod tests {
         assert_eq!(err, ServiceError::Deadline { deadline_ms: 0 });
     }
 
+    /// Returns once a compile is in flight: `drain(Duration::ZERO)` is
+    /// `false` exactly while the in-flight map holds an entry.
+    fn wait_until_in_flight(svc: &Service) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while svc.drain(Duration::ZERO) {
+            assert!(Instant::now() < give_up, "no compile went in flight");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn hedge_wins_past_a_stalled_leader_without_duplicate_compiles() {
-        // The leader's worker stalls 400 ms (once); the coalesced waiter
-        // hedges after 40 ms onto the second worker and both callers get
-        // byte-identical answers fast. The stalled worker wakes into a
-        // warm cache, so exactly one compile runs.
+    fn a_waiter_behind_a_stalled_leader_shares_its_compile() {
+        // The leader's worker stalls 200 ms (once). The second worker is
+        // idle, yet the waiter attaches to the leader's compile: routing
+        // is deterministic, so a second compile could only redo it.
         let svc = Service::new(ServiceConfig {
             workers: 2,
-            hedge_after_ms: 40,
-            faults: FaultSpec::parse("worker-stall=400:1").unwrap(),
+            faults: FaultSpec::parse("worker-stall=200:1").unwrap(),
             ..config()
         });
         let request = CompileRequest::new(small_circuit(4));
@@ -1620,15 +1400,42 @@ mod tests {
             let request = request.clone();
             std::thread::spawn(move || svc.compile(request))
         };
-        // Let the leader win the election and its worker start stalling.
-        std::thread::sleep(Duration::from_millis(60));
-        let waiter = svc.compile(request).expect("hedged waiter");
+        wait_until_in_flight(&svc);
+        let waiter = svc.compile(request).expect("coalesced waiter");
         let leader = leader.join().unwrap().expect("stalled leader");
+        assert_eq!(leader.path(), "miss");
+        assert_eq!(waiter.path(), "coalesced");
         assert_eq!(leader.entry.schedule_json, waiter.entry.schedule_json);
         let stats = svc.stats();
-        assert_eq!(stats.compiles, 1, "the hedge must not duplicate work");
-        assert_eq!(stats.leader_timeouts, 1);
-        assert_eq!(stats.hedged, 1);
+        assert_eq!(stats.compiles, 1, "one compile per fingerprint");
+        assert_eq!(stats.coalesced, 1);
+    }
+
+    #[test]
+    fn a_waiter_that_outlives_its_leaders_deadline_leads_a_new_compile() {
+        // The leader's 50 ms deadline lapses during a 200 ms stall. Its
+        // waiter has no deadline: it inherits the leader's deadline error
+        // from the broadcast, re-submits, and compiles as a leader.
+        let svc = Service::new(ServiceConfig {
+            workers: 2,
+            faults: FaultSpec::parse("worker-stall=200:1").unwrap(),
+            ..config()
+        });
+        let request = CompileRequest::new(small_circuit(5));
+        let leader = {
+            let svc = svc.clone();
+            let request = request.clone().with_deadline_ms(50);
+            std::thread::spawn(move || svc.compile(request))
+        };
+        wait_until_in_flight(&svc);
+        let waiter = svc.compile(request).expect("re-led waiter");
+        let leader = leader.join().unwrap().unwrap_err();
+        assert_eq!(leader, ServiceError::Deadline { deadline_ms: 50 });
+        assert_eq!(waiter.path(), "miss");
+        let stats = svc.stats();
+        assert_eq!(stats.compiles, 1, "the expired job never routed");
+        assert_eq!(stats.coalesced, 1);
+        assert_eq!(stats.deadline_misses, 1, "only the leader's own miss");
     }
 
     #[test]
@@ -1743,8 +1550,6 @@ mod tests {
         synthetic.coalesced = true;
         synthetic.cache_hit = false;
         assert_eq!(synthetic.path(), "coalesced");
-        synthetic.hedged = true;
-        assert_eq!(synthetic.path(), "hedged");
     }
 
     #[test]

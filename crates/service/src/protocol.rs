@@ -34,10 +34,10 @@
 //! Every request may carry a `"request_id"` string (≤ 128 bytes); the
 //! daemon assigns `r-<hex>` when absent. Every reply — success, error,
 //! shed or deadline miss — echoes it back as `"request_id"`, and it
-//! propagates unchanged through coalescing and hedging. Compile replies
-//! and all error replies additionally carry `"path"`: the serving path
-//! `hit` | `miss` | `coalesced` | `hedged` for successes, `shed` for
-//! overload, `error` otherwise.
+//! propagates unchanged through coalescing. Compile replies and all
+//! error replies additionally carry `"path"`: the serving path `hit` |
+//! `miss` | `coalesced` for successes, `shed` for overload, `error`
+//! otherwise.
 //!
 //! The `"router"` tag selects the workload shape (default `generic`;
 //! `auto` infers the family from the payload's marker fields,
@@ -146,7 +146,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 }
 
 /// [`parse_request`] over an already-parsed document; `request_id` is
-/// attached to compile requests so it survives coalescing and hedging.
+/// attached to compile requests so it survives coalescing.
 fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request, String> {
     let op = doc
         .get("op")
@@ -711,10 +711,6 @@ pub fn render_stats_response(stats: &ServiceStats, request_id: &str) -> String {
     out.push_str(&stats.compiles.to_string());
     out.push_str(",\"coalesced\":");
     out.push_str(&stats.coalesced.to_string());
-    out.push_str(",\"hedged\":");
-    out.push_str(&stats.hedged.to_string());
-    out.push_str(",\"leader_timeouts\":");
-    out.push_str(&stats.leader_timeouts.to_string());
     out.push_str(",\"shed\":");
     out.push_str(&stats.shed.to_string());
     out.push_str(",\"deadline_misses\":");
@@ -1582,7 +1578,7 @@ mod tests {
         // never rendered as a fake 0 ms summary. (The path histograms
         // are process-wide, so which other rows appear depends on what
         // tests ran before this one; only the invariant is asserted.)
-        for path in ["hit", "miss", "coalesced", "hedged", "shed", "error"] {
+        for path in ["hit", "miss", "coalesced", "shed", "error"] {
             let Some(row) = latency.get(path) else {
                 continue;
             };
@@ -1604,7 +1600,7 @@ mod tests {
         let svc = service();
         let stats = handle_line(&svc, "{\"op\":\"stats\"}");
         let doc = json::parse(&stats.response).unwrap();
-        for key in ["hedged", "leader_timeouts", "shed", "deadline_misses"] {
+        for key in ["coalesced", "shed", "deadline_misses"] {
             assert_eq!(doc.get(key).and_then(Value::as_u64), Some(0), "{key}");
         }
         assert_eq!(doc.get("draining").and_then(Value::as_bool), Some(false));

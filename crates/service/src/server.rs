@@ -334,29 +334,42 @@ mod tests {
 
     #[test]
     fn drain_answers_pipelined_requests_then_closes_the_connection() {
-        let server = TcpServer::spawn(service(), "127.0.0.1:0").unwrap();
+        // Each compile stalls 100 ms, so both are still in flight when
+        // the drain begins.
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            faults: crate::faults::FaultSpec::parse("worker-stall=100:2").unwrap(),
+            ..ServiceConfig::default()
+        });
+        let server = TcpServer::spawn(svc.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        // A first round-trip guarantees the acceptor has handed this
-        // connection to its own thread before the drain begins.
-        writer.write_all(b"{\"op\":\"ping\"}\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("pong"));
         writer
-            .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n")
+            .write_all(
+                b"{\"op\":\"compile\",\"circuit\":{\"num_qubits\":2,\"gates\":[[\"cz\",0,1]]}}\n\
+                  {\"op\":\"compile\",\"circuit\":{\"num_qubits\":3,\"gates\":[[\"cz\",1,2]]}}\n",
+            )
             .unwrap();
         writer.flush().unwrap();
+        // Drain only once the server holds both requests: bytes that
+        // reach a connection after the drain closed it draw a reset.
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while svc.stats().requests < 2 {
+            assert!(Instant::now() < give_up, "requests never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         server.begin_drain();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("pong"), "first pipelined request answered");
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("pong"), "second pipelined request answered");
+        let mut line = String::new();
+        for which in ["first", "second"] {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(
+                line.starts_with("{\"ok\":true,\"op\":\"compile\""),
+                "{which} pipelined request answered: {line}"
+            );
+        }
         line.clear();
         let n = reader.read_line(&mut line).unwrap();
         assert_eq!(n, 0, "drained connection reaches end-of-stream");

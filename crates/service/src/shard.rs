@@ -220,8 +220,6 @@ pub fn aggregate_stats(lines: &[String], request_id: &str) -> Result<String, Str
         "cache_bytes",
         "compiles",
         "coalesced",
-        "hedged",
-        "leader_timeouts",
         "shed",
         "deadline_misses",
     ] {
@@ -582,8 +580,8 @@ mod tests {
 
     #[test]
     fn aggregate_stats_sums_counters() {
-        let a = "{\"ok\":true,\"op\":\"stats\",\"request_id\":\"r-1\",\"requests\":5,\"hits\":3,\"misses\":2,\"hit_rate\":0.6,\"evictions\":0,\"cache_entries\":2,\"cache_bytes\":100,\"compiles\":2,\"coalesced\":0,\"hedged\":0,\"leader_timeouts\":0,\"shed\":0,\"deadline_misses\":0,\"draining\":false,\"store_persisted\":0,\"store_loaded\":0,\"p50_compile_ms\":1.5,\"p90_compile_ms\":2.0,\"p99_compile_ms\":2.5,\"latency\":{\"hit\":{\"count\":3,\"p50_ms\":0.1,\"p90_ms\":0.2,\"p99_ms\":0.3}},\"workers\":4}".to_string();
-        let b = "{\"ok\":true,\"op\":\"stats\",\"request_id\":\"r-2\",\"requests\":7,\"hits\":1,\"misses\":6,\"hit_rate\":0.142857,\"evictions\":1,\"cache_entries\":6,\"cache_bytes\":300,\"compiles\":6,\"coalesced\":1,\"hedged\":0,\"leader_timeouts\":0,\"shed\":2,\"deadline_misses\":0,\"draining\":true,\"store_persisted\":6,\"store_loaded\":0,\"p50_compile_ms\":1.0,\"p90_compile_ms\":3.0,\"p99_compile_ms\":4.0,\"latency\":{\"hit\":{\"count\":1,\"p50_ms\":0.4,\"p90_ms\":0.5,\"p99_ms\":0.6}},\"workers\":4}".to_string();
+        let a = "{\"ok\":true,\"op\":\"stats\",\"request_id\":\"r-1\",\"requests\":5,\"hits\":3,\"misses\":2,\"hit_rate\":0.6,\"evictions\":0,\"cache_entries\":2,\"cache_bytes\":100,\"compiles\":2,\"coalesced\":0,\"shed\":0,\"deadline_misses\":0,\"draining\":false,\"store_persisted\":0,\"store_loaded\":0,\"p50_compile_ms\":1.5,\"p90_compile_ms\":2.0,\"p99_compile_ms\":2.5,\"latency\":{\"hit\":{\"count\":3,\"p50_ms\":0.1,\"p90_ms\":0.2,\"p99_ms\":0.3}},\"workers\":4}".to_string();
+        let b = "{\"ok\":true,\"op\":\"stats\",\"request_id\":\"r-2\",\"requests\":7,\"hits\":1,\"misses\":6,\"hit_rate\":0.142857,\"evictions\":1,\"cache_entries\":6,\"cache_bytes\":300,\"compiles\":6,\"coalesced\":1,\"shed\":2,\"deadline_misses\":0,\"draining\":true,\"store_persisted\":6,\"store_loaded\":0,\"p50_compile_ms\":1.0,\"p90_compile_ms\":3.0,\"p99_compile_ms\":4.0,\"latency\":{\"hit\":{\"count\":1,\"p50_ms\":0.4,\"p90_ms\":0.5,\"p99_ms\":0.6}},\"workers\":4}".to_string();
         let merged = aggregate_stats(&[a, b], "agg-1").unwrap();
         let doc = json::parse(&merged).unwrap();
         assert_eq!(doc.get("requests").and_then(Value::as_u64), Some(12));

@@ -308,6 +308,32 @@ fn daemon_binary_announces_ephemeral_port_and_serves() {
     assert!(status.success(), "daemon exit status: {status:?}");
 }
 
+/// A flag `qpilotd` does not know, or a number it cannot parse, is a
+/// startup error naming the flag, not a silently ignored setting.
+#[test]
+fn daemon_binary_rejects_unknown_and_malformed_flags() {
+    use std::process::{Command, Stdio};
+
+    for (args, flag) in [
+        (&["--bogus-ms", "40"][..], "--bogus-ms"),
+        (&["--max-compile-ms", "10s"][..], "--max-compile-ms"),
+        (&["--workers", "two"][..], "--workers"),
+        (&["--store-max-bytes"][..], "--store-max-bytes"),
+    ] {
+        // With the flags accepted, `--stdio` would serve the empty stdin
+        // and exit 0.
+        let output = Command::new(env!("CARGO_BIN_EXE_qpilotd"))
+            .arg("--stdio")
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run qpilotd");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn malformed_lines_do_not_poison_the_connection() {
     let server = TcpServer::spawn(test_service(1, 4), "127.0.0.1:0").unwrap();
