@@ -2,7 +2,7 @@
 //!
 //! This is the throughput layer the figure binaries (and any future
 //! compilation service) sit on: one [`FpqaConfig`] or device set, many
-//! independent circuits, fanned out with [`crate::parallel::parallel_map`].
+//! independent circuits, fanned out with [`qpilot_core::par::parallel_map`].
 //! Per-device state that is expensive to derive (the SABRE APSP matrix)
 //! is warmed once up front and shared via `Arc`, so adding circuits to a
 //! batch never repeats device analysis.
@@ -11,10 +11,10 @@ use qpilot_baselines::{compile_with_router, BaselineReport, SabreRouter};
 use qpilot_circuit::Circuit;
 use qpilot_core::compile::{CompileError, CompileOptions, Compiler, Workload};
 use qpilot_core::generic::GenericRouterOptions;
+use qpilot_core::par::{default_threads, parallel_map};
 use qpilot_core::{CompiledProgram, FpqaConfig};
 
 use crate::baseline_devices;
-use crate::parallel::{default_threads, parallel_map};
 
 /// Routes every workload through the unified compile pipeline
 /// ([`qpilot_core::compile`](mod@qpilot_core::compile)) on `threads`

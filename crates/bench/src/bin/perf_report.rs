@@ -34,11 +34,12 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use qpilot_bench::{arg_num, arg_value, check, compile_batch, default_threads, depth, Table};
+use qpilot_bench::{arg_num, arg_value, check, compile_batch, depth, Table};
 use qpilot_core::compile::{CompileOptions, Compiler, Workload};
 use qpilot_core::generic::GenericRouterOptions;
 use qpilot_core::generic_reference::route_reference;
 use qpilot_core::obs;
+use qpilot_core::par::default_threads;
 use qpilot_core::{CompiledProgram, FpqaConfig};
 use qpilot_workloads::graphs::random_regular;
 use qpilot_workloads::pauli::{random_pauli_strings, PauliWorkloadConfig};

@@ -56,10 +56,11 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use qpilot_bench::{arg_num, arg_value, check, default_threads, Table};
+use qpilot_bench::{arg_num, arg_value, check, Table};
+use qpilot_core::par::default_threads;
 use qpilot_service::metrics::REQUEST_PATHS;
 use qpilot_service::protocol::{circuit_to_value_json, compile_request_line};
-use qpilot_service::{CompileRequest, Service, ServiceConfig, TcpServer};
+use qpilot_service::{serve_tcp, CompileRequest, ReactorOptions, Service, ServiceConfig};
 use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -287,7 +288,8 @@ fn bench_resilience(config: &ServiceConfig, clients: usize, qubits: u32) -> Resi
 /// Fires `clients` concurrent TCP connections at a fresh server, each
 /// sending `per_client` compile requests, and counts completions.
 fn bench_burst(service: Service, clients: usize, per_client: usize, qubits: u32) -> BurstResult {
-    let server = TcpServer::spawn(service, "127.0.0.1:0").expect("bind loopback");
+    let server =
+        serve_tcp(service, "127.0.0.1:0", ReactorOptions::default()).expect("bind loopback");
     let addr = server.local_addr();
     let sent = clients * per_client;
     let t = Instant::now();
@@ -383,7 +385,8 @@ fn bench_sustained(
     per_connection: usize,
     qubits: u32,
 ) -> SustainedResult {
-    let server = TcpServer::spawn(service, "127.0.0.1:0").expect("bind loopback");
+    let server =
+        serve_tcp(service, "127.0.0.1:0", ReactorOptions::default()).expect("bind loopback");
     let addr = server.local_addr();
     let connections = connections.max(1);
     let per_connection = per_connection.max(1);

@@ -11,13 +11,11 @@
 pub mod batch;
 pub mod check;
 pub mod depth;
-pub mod parallel;
 
 pub use batch::{
     compile_batch, compile_batch_auto, compile_batch_with_options, compile_on_baselines_batch,
     compile_workload_batch,
 };
-pub use parallel::{default_threads, parallel_map};
 
 use std::time::Instant;
 

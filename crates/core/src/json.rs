@@ -365,12 +365,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(&b) if b < 0x20 => return Err(err(*pos, "control character in string")),
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next `"`, `\` or control byte at
+                // once. It starts and ends at ASCII bytes of a `&str`, so
+                // it is valid UTF-8 on its own.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("run of a &str"));
             }
         }
     }
@@ -482,5 +487,61 @@ mod tests {
     #[should_panic(expected = "non-finite")]
     fn non_finite_panics() {
         fmt_f64(f64::NAN);
+    }
+
+    /// Request lines, store blobs and shard replies are untrusted, so
+    /// parse time must be linear: doubling a long string, a long array
+    /// or a wide object may cost at most 2.5×. Each input grows until it
+    /// takes at least 1 ms, and each side of a round is the minimum of 5
+    /// interleaved timings. Other threads can steal the CPU for a whole
+    /// round, so a shape gets up to 10 rounds to show one clean ratio; a
+    /// quadratic parser fails every round.
+    #[test]
+    fn doubling_the_input_at_most_doubles_parse_time() {
+        use std::fmt::Write as _;
+        use std::time::{Duration, Instant};
+
+        fn time(src: &str) -> Duration {
+            let started = Instant::now();
+            std::hint::black_box(parse(std::hint::black_box(src)).expect("valid JSON"));
+            started.elapsed()
+        }
+        let string = |n: usize| format!("\"{}\"", "ab\u{e9}\\n".repeat(n));
+        let array = |n: usize| format!("[{}0]", "12,".repeat(n));
+        let object = |n: usize| {
+            let mut out = String::from("{");
+            for i in 0..n {
+                write!(out, "\"k{i}\":{i},").expect("write to String");
+            }
+            out + "\"end\":0}"
+        };
+        let shapes: [(&str, &dyn Fn(usize) -> String); 3] =
+            [("string", &string), ("array", &array), ("object", &object)];
+        for (shape, build) in shapes {
+            let mut n = 1024;
+            while (0..3).map(|_| time(&build(n))).min() < Some(Duration::from_millis(1)) {
+                n *= 2;
+            }
+            let (small, large) = (build(n), build(2 * n));
+            let mut rounds = Vec::new();
+            while rounds.len() < 10 && rounds.last().is_none_or(|&(ratio, _, _)| ratio > 2.5) {
+                let (mut t_small, mut t_large) = (Duration::MAX, Duration::MAX);
+                for _ in 0..5 {
+                    t_small = t_small.min(time(&small));
+                    t_large = t_large.min(time(&large));
+                }
+                rounds.push((
+                    t_large.as_secs_f64() / t_small.as_secs_f64(),
+                    t_small,
+                    t_large,
+                ));
+            }
+            assert!(
+                rounds.last().is_some_and(|&(ratio, _, _)| ratio <= 2.5),
+                "{shape}: {} then {} bytes, (ratio, times) per round: {rounds:?}",
+                small.len(),
+                large.len()
+            );
+        }
     }
 }

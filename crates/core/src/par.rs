@@ -85,6 +85,15 @@ mod tests {
     }
 
     #[test]
+    fn unbalanced_items_all_complete() {
+        // Skewed work per item: every item completes, still in order.
+        let skewed = |&x: &u64| (0..(x % 7) * 1000).fold(x, |acc, _| acc.wrapping_mul(31));
+        let items: Vec<u64> = (0..64).collect();
+        let out = parallel_map(&items, 4, skewed);
+        assert_eq!(out, items.iter().map(skewed).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn single_thread_runs_inline() {
         let items = [1, 2, 3];
         assert_eq!(parallel_map(&items, 1, |&x| x + 1), vec![2, 3, 4]);

@@ -9,14 +9,17 @@
 //!                    <workload source> [options]
 //!
 //! sharded fleets (client-side shard map, no qpilot-router needed):
-//!   --shards ADDR1,ADDR2,…  compile requests go to the consistent-hash
-//!                           owner of their fingerprint; stats,
-//!                           store-stats and metrics fan out to every
-//!                           shard and print the fleet aggregate;
-//!                           shutdown stops every shard. The address
-//!                           list must match the fleet's router/client
-//!                           configuration verbatim — placement is a
-//!                           pure function of those strings.
+//!   --shards ADDR1,ADDR2,…  requests go through the router's own
+//!                           dispatcher: compile requests go to the
+//!                           consistent-hash owner of their fingerprint;
+//!                           stats, store-stats and metrics fan out to
+//!                           every shard and print the fleet aggregate;
+//!                           shutdown stops every shard. A shard that
+//!                           cannot answer prints a "retry":true error
+//!                           line. The address list must match the
+//!                           fleet's router/client configuration
+//!                           verbatim — placement is a pure function of
+//!                           those strings.
 //!
 //! `metrics` prints the daemon's Prometheus text exposition verbatim
 //! (the same bytes `--metrics-listen` serves over HTTP).
@@ -67,10 +70,10 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use qpilot_circuit::Circuit;
 use qpilot_core::json::{self, Value};
 use qpilot_service::protocol::{
-    circuit_to_value_json, compile_request_line, next_request_id, parse_request, qaoa_request_line,
-    qec_request_line, qsim_request_line, Request, QEC_DEFAULT_THETA,
+    circuit_to_value_json, compile_request_line, qaoa_request_line, qec_request_line,
+    qsim_request_line, QEC_DEFAULT_THETA,
 };
-use qpilot_service::shard::{aggregate_metrics, aggregate_stats, aggregate_store_stats, ShardRing};
+use qpilot_service::shard::{self, ShardRing};
 use qpilot_workloads::bv::bernstein_vazirani_random;
 use qpilot_workloads::graphs::erdos_renyi;
 use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
@@ -364,84 +367,44 @@ impl Target {
         }
     }
 
-    /// Routes one request: single daemons take everything; a sharded
-    /// fleet routes compiles by fingerprint, fans observability ops out
-    /// to every shard (aggregating the responses), sends `shutdown`
-    /// everywhere, and probes the first shard for `ping`.
+    /// Routes one request: a single daemon takes everything; a sharded
+    /// fleet goes through the router's dispatcher (`shard::route`), one
+    /// fresh connection per shard contacted. A single daemon that
+    /// cannot answer exits 1.
     fn dispatch(&self, request: &str) -> String {
-        let (ring, resolved) = match self {
-            Target::Single(addr) => return round_trip(*addr, request),
-            Target::Sharded { ring, resolved } => (ring, resolved),
-        };
-        match parse_request(request) {
-            Ok(Request::Compile {
-                request: compile, ..
-            }) => round_trip(resolved[ring.index_for(&compile.fingerprint())], request),
-            Ok(Request::Stats) => self.fan_out_merged(request, aggregate_stats),
-            Ok(Request::StoreStats) => self.fan_out_merged(request, aggregate_store_stats),
-            Ok(Request::Metrics) => self.fan_out_merged(request, aggregate_metrics),
-            Ok(Request::Shutdown) => {
-                let mut last = String::new();
-                for &addr in resolved {
-                    last = round_trip(addr, request);
-                }
-                last
+        match self {
+            Target::Single(addr) => round_trip(*addr, request).unwrap_or_else(|e| {
+                eprintln!("qpilot-cli: {e}");
+                std::process::exit(1);
+            }),
+            Target::Sharded { ring, resolved } => {
+                shard::route(ring, request, |index, line| {
+                    round_trip(resolved[index], line)
+                })
+                .response
             }
-            Ok(Request::Ping) | Err(_) => round_trip(resolved[0], request),
-        }
-    }
-
-    fn fan_out_merged(
-        &self,
-        request: &str,
-        merge: fn(&[String], &str) -> Result<String, String>,
-    ) -> String {
-        let Target::Sharded { resolved, .. } = self else {
-            unreachable!("fan-out is only dispatched for sharded targets");
-        };
-        let responses: Vec<String> = resolved
-            .iter()
-            .map(|&addr| round_trip(addr, request))
-            .collect();
-        match merge(&responses, &next_request_id()) {
-            Ok(merged) => merged,
-            Err(e) => fail(&format!("cannot aggregate shard responses: {e}")),
         }
     }
 }
 
-/// One request/response round trip on a fresh connection; exits 1 on
-/// any transport failure.
-fn round_trip(addr: SocketAddr, request: &str) -> String {
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("qpilot-cli: cannot connect to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(e) => fail(&format!("cannot clone connection: {e}")),
-    });
+/// One request/response round trip on a fresh connection.
+fn round_trip(addr: SocketAddr, request: &str) -> Result<String, String> {
+    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let mut reader = BufReader::new(
+        stream
+            .try_clone()
+            .map_err(|e| format!("cannot clone connection: {e}"))?,
+    );
     let mut writer = stream;
-    if writer
+    writer
         .write_all(format!("{request}\n").as_bytes())
         .and_then(|()| writer.flush())
-        .is_err()
-    {
-        eprintln!("qpilot-cli: failed to send request to {addr}");
-        std::process::exit(1);
-    }
+        .map_err(|_| format!("failed to send request to {addr}"))?;
     let mut response = String::new();
     match reader.read_line(&mut response) {
-        Ok(0) | Err(_) => {
-            eprintln!("qpilot-cli: daemon closed the connection without answering");
-            std::process::exit(1);
-        }
-        Ok(_) => {}
+        Ok(0) | Err(_) => Err("daemon closed the connection without answering".to_string()),
+        Ok(_) => Ok(response.trim_end().to_string()),
     }
-    response.trim_end().to_string()
 }
 
 /// A `u64` field from a stats reply (0 when absent).

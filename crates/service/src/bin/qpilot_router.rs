@@ -3,18 +3,23 @@
 //! ```text
 //! qpilot-router --shards ADDR1,ADDR2[,...] [--listen HOST:PORT]
 //!               [--line-deadline-ms N] [--shard-timeout-ms N]
+//!               [--drain-ms N]
 //! ```
+//!
+//! An unknown flag, a flag missing its value, or a number that does not
+//! parse is a startup error (exit 2) naming the flag.
 //!
 //! The router speaks the same line-delimited JSON protocol as the
 //! daemon, on the same reactor transport, and owns no compilation
-//! state of its own:
+//! state of its own. Each request line goes through the fleet
+//! dispatcher `qpilot_service::shard::route`, the same one
+//! `qpilot-cli --shards` uses:
 //!
 //! * `compile` requests route to exactly one shard — the owner of the
 //!   request's `qpilot.compile/v2` fingerprint on the consistent-hash
-//!   ring (`qpilot_service::shard::ShardRing`) — and the shard's
-//!   response line is relayed byte-for-byte, so compiling through the
-//!   router is byte-identical to compiling against the owning shard
-//!   directly;
+//!   ring — and the shard's response line is relayed byte-for-byte, so
+//!   compiling through the router is byte-identical to compiling
+//!   against the owning shard directly;
 //! * `stats`, `store-stats` and `metrics` fan out to every shard and
 //!   return the fleet-wide aggregate (counters sum exactly; the
 //!   response carries `"shards":N`);
@@ -41,9 +46,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use qpilot_core::json::{self, json_str, Value};
-use qpilot_service::protocol::{next_request_id, parse_request, render_error, Handled, Request};
-use qpilot_service::shard::{aggregate_metrics, aggregate_stats, aggregate_store_stats, ShardRing};
+use qpilot_service::flags::Flags;
+use qpilot_service::shard::{self, ShardRing};
 use qpilot_service::{ReactorOptions, ReactorServer};
 
 static SIGTERMS: AtomicU32 = AtomicU32::new(0);
@@ -60,18 +64,14 @@ extern "C" {
     fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn arg_num<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Flags followed by a value; the router has no switches.
+const VALUE_FLAGS: [&str; 5] = [
+    "--shards",
+    "--listen",
+    "--line-deadline-ms",
+    "--shard-timeout-ms",
+    "--drain-ms",
+];
 
 /// One pooled shard connection: the write half plus a buffered reader
 /// over its clone. Checked out exclusively for a round trip, so the
@@ -160,99 +160,9 @@ impl ShardPool {
     }
 }
 
-/// The client-visible `request_id` of a request line: the client's own
-/// when present and valid-shaped, a fresh daemon-assigned one
-/// otherwise (matching the daemon's echo contract).
-fn request_id_of(line: &str) -> String {
-    json::parse(line)
-        .ok()
-        .and_then(|doc| {
-            doc.get("request_id")
-                .and_then(Value::as_str)
-                .map(str::to_string)
-        })
-        .unwrap_or_else(next_request_id)
-}
-
-/// Fans `line` out to every shard, collecting responses in shard
-/// order; the first unreachable shard aborts the fan-out.
-fn fan_out(pool: &ShardPool, ring: &ShardRing, line: &str) -> Result<Vec<String>, String> {
-    ring.addrs()
-        .iter()
-        .map(|addr| pool.round_trip(addr, line))
-        .collect()
-}
-
-fn route(pool: &ShardPool, ring: &ShardRing, line: &str) -> Handled {
-    match parse_request(line) {
-        Ok(Request::Compile { request, .. }) => {
-            let addr = ring.shard_for(&request.fingerprint()).to_string();
-            match pool.round_trip(&addr, line) {
-                Ok(response) => Handled {
-                    response,
-                    shutdown: false,
-                },
-                Err(e) => Handled {
-                    // Transient from the client's seat: the shard may
-                    // come back, or the operator may repoint the ring.
-                    response: render_error(&e, true, &request_id_of(line)),
-                    shutdown: false,
-                },
-            }
-        }
-        Ok(Request::Stats) => aggregated(pool, ring, line, aggregate_stats),
-        Ok(Request::StoreStats) => aggregated(pool, ring, line, aggregate_store_stats),
-        Ok(Request::Metrics) => aggregated(pool, ring, line, aggregate_metrics),
-        Ok(Request::Shutdown) => {
-            // Stop the fleet first, then the router itself. Shards that
-            // are already gone do not block the rest.
-            for addr in ring.addrs() {
-                let _ = pool.round_trip(addr, line);
-            }
-            Handled {
-                response: format!(
-                    "{{\"ok\":true,\"op\":\"shutdown\",\"request_id\":{}}}",
-                    json_str(&request_id_of(line))
-                ),
-                shutdown: true,
-            }
-        }
-        // Ping and malformed lines: any daemon renders these
-        // identically, so the first shard answers for the fleet.
-        Ok(Request::Ping) | Err(_) => {
-            let addr = &ring.addrs()[0];
-            match pool.round_trip(addr, line) {
-                Ok(response) => Handled {
-                    response,
-                    shutdown: false,
-                },
-                Err(e) => Handled {
-                    response: render_error(&e, true, &request_id_of(line)),
-                    shutdown: false,
-                },
-            }
-        }
-    }
-}
-
-fn aggregated(
-    pool: &ShardPool,
-    ring: &ShardRing,
-    line: &str,
-    merge: fn(&[String], &str) -> Result<String, String>,
-) -> Handled {
-    let request_id = request_id_of(line);
-    let response = fan_out(pool, ring, line)
-        .and_then(|responses| merge(&responses, &request_id))
-        .unwrap_or_else(|e| render_error(&e, true, &request_id));
-    Handled {
-        response,
-        shutdown: false,
-    }
-}
-
 fn main() {
-    let Some(shards) = arg_value("--shards") else {
+    let flags = Flags::parse("qpilot-router", &VALUE_FLAGS, &[]);
+    let Some(shards) = flags.value("--shards") else {
         eprintln!("qpilot-router: --shards ADDR1,ADDR2[,...] is required");
         std::process::exit(2);
     };
@@ -267,21 +177,24 @@ fn main() {
         std::process::exit(2);
     }
     let ring = ShardRing::new(&addrs);
-    let pool = Arc::new(ShardPool::new(Duration::from_millis(arg_num(
-        "--shard-timeout-ms",
-        30_000u64,
-    ))));
+    let pool = Arc::new(ShardPool::new(Duration::from_millis(
+        flags.num("--shard-timeout-ms", 30_000u64),
+    )));
     let options = ReactorOptions {
-        line_deadline: Duration::from_millis(arg_num("--line-deadline-ms", 10_000u64)),
-        ..ReactorOptions::default()
+        line_deadline: Duration::from_millis(flags.num("--line-deadline-ms", 10_000u64)),
     };
-    let listen = arg_value("--listen").unwrap_or_else(|| "127.0.0.1:7879".to_string());
+    let drain_budget = Duration::from_millis(flags.num("--drain-ms", 10_000u64));
+    let listen = flags.value("--listen").unwrap_or("127.0.0.1:7879");
     let handler: qpilot_service::LineHandler = {
         let ring = ring.clone();
         let pool = Arc::clone(&pool);
-        Arc::new(move |line: &str| route(&pool, &ring, line))
+        Arc::new(move |line: &str| {
+            shard::route(&ring, line, |index, line| {
+                pool.round_trip(&ring.addrs()[index], line)
+            })
+        })
     };
-    let server = match ReactorServer::spawn(listen.as_str(), options, handler) {
+    let server = match ReactorServer::spawn(listen, options, handler) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("qpilot-router: cannot listen on {listen}: {e}");
@@ -305,7 +218,7 @@ fn main() {
         }
         if SIGTERMS.load(Ordering::SeqCst) > 0 {
             server.begin_drain();
-            let clean = server.drain_wait(Duration::from_millis(arg_num("--drain-ms", 10_000u64)));
+            let clean = server.drain_wait(drain_budget);
             std::process::exit(if clean { 0 } else { 1 });
         }
         std::thread::sleep(Duration::from_millis(50));

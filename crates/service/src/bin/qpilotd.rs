@@ -51,8 +51,10 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use qpilot_service::events::{self, Field};
+use qpilot_service::flags::Flags;
 use qpilot_service::{
-    metrics, serve_stdio, FaultSpec, ServerOptions, Service, ServiceConfig, TcpServer,
+    metrics, serve_stdio, serve_tcp, FaultSpec, ReactorOptions, ReactorServer, Service,
+    ServiceConfig,
 };
 
 /// SIGTERM arrivals, observed by the main poll loop. The handler only
@@ -97,53 +99,11 @@ const VALUE_FLAGS: [&str; 12] = [
 /// Flags that stand alone.
 const SWITCHES: [&str; 2] = ["--stdio", "--log-json"];
 
-/// A command-line error: exits 2 before anything starts.
-fn usage_error(message: &str) -> ! {
-    eprintln!("qpilotd: {message}");
-    std::process::exit(2);
-}
-
-/// Rejects any argument that is not a known flag, and a value flag
-/// with no value after it.
-fn check_args() {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            if args.next().is_none() {
-                usage_error(&format!("{arg} needs a value"));
-            }
-        } else if !SWITCHES.contains(&arg.as_str()) {
-            usage_error(&format!("unknown flag `{arg}`"));
-        }
-    }
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn arg_num<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg_opt_num(name, None).unwrap_or(default)
-}
-
-fn arg_opt_num<T: std::str::FromStr>(name: &str, default: Option<T>) -> Option<T> {
-    match arg_value(name) {
-        Some(v) => match v.parse() {
-            Ok(n) => Some(n),
-            Err(_) => usage_error(&format!("{name} expects a number, got `{v}`")),
-        },
-        None => default,
-    }
-}
-
 /// `--faults SPEC` wins over `QPILOT_FAULTS`; both parse with the same
 /// grammar and a bad spec is a startup error, not a silent no-op.
-fn fault_spec() -> FaultSpec {
-    let parsed = match arg_value("--faults") {
-        Some(spec) => FaultSpec::parse(&spec),
+fn fault_spec(flags: &Flags) -> FaultSpec {
+    let parsed = match flags.value("--faults") {
+        Some(spec) => FaultSpec::parse(spec),
         None => FaultSpec::from_env(),
     };
     match parsed {
@@ -162,7 +122,7 @@ fn fault_spec() -> FaultSpec {
 
 /// Drains the daemon after SIGTERM: no new connections, all accepted
 /// requests answered, store index flushed. Never returns.
-fn drain_and_exit(server: &TcpServer, service: &Service, budget: Duration) -> ! {
+fn drain_and_exit(server: &ReactorServer, service: &Service, budget: Duration) -> ! {
     eprintln!("qpilotd: SIGTERM received, draining");
     events::emit(
         "drain",
@@ -195,23 +155,27 @@ fn drain_and_exit(server: &TcpServer, service: &Service, budget: Duration) -> ! 
 }
 
 fn main() {
-    check_args();
+    let flags = Flags::parse("qpilotd", &VALUE_FLAGS, &SWITCHES);
     // JSON event logs: the flag wins; `QPILOT_LOG=json` works for
     // wrappers that cannot alter the argv.
-    let log_json = std::env::args().any(|a| a == "--log-json")
-        || std::env::var("QPILOT_LOG").is_ok_and(|v| v == "json");
+    let log_json =
+        flags.switch("--log-json") || std::env::var("QPILOT_LOG").is_ok_and(|v| v == "json");
     events::set_log_json(log_json);
     let defaults = ServiceConfig::default();
-    let store_dir = arg_value("--store").map(std::path::PathBuf::from);
+    let store_dir = flags.value("--store").map(std::path::PathBuf::from);
     let config = ServiceConfig {
-        workers: arg_num("--workers", defaults.workers),
-        queue_capacity: arg_num("--queue", defaults.queue_capacity),
-        cache_capacity: arg_num("--cache", defaults.cache_capacity),
-        cache_shards: arg_num("--shards", defaults.cache_shards),
+        workers: flags.num("--workers", defaults.workers),
+        queue_capacity: flags.num("--queue", defaults.queue_capacity),
+        cache_capacity: flags.num("--cache", defaults.cache_capacity),
+        cache_shards: flags.num("--shards", defaults.cache_shards),
         store_dir: store_dir.clone(),
-        max_compile_ms: arg_opt_num("--max-compile-ms", defaults.max_compile_ms),
-        store_max_bytes: arg_opt_num("--store-max-bytes", defaults.store_max_bytes),
-        faults: fault_spec(),
+        max_compile_ms: flags
+            .opt_num("--max-compile-ms")
+            .or(defaults.max_compile_ms),
+        store_max_bytes: flags
+            .opt_num("--store-max-bytes")
+            .or(defaults.store_max_bytes),
+        faults: fault_spec(&flags),
     };
     let service = match Service::try_new(config) {
         Ok(service) => service,
@@ -232,8 +196,7 @@ fn main() {
             stats.store_loaded
         );
     }
-    let stdio = std::env::args().any(|a| a == "--stdio");
-    if stdio {
+    if flags.switch("--stdio") {
         if let Err(e) = serve_stdio(&service) {
             eprintln!("qpilotd: stdio transport failed: {e}");
             std::process::exit(1);
@@ -242,11 +205,11 @@ fn main() {
         return;
     }
     install_sigterm_handler();
-    let options = ServerOptions {
-        line_deadline: Duration::from_millis(arg_num("--line-deadline-ms", 10_000u64)),
+    let options = ReactorOptions {
+        line_deadline: Duration::from_millis(flags.num("--line-deadline-ms", 10_000u64)),
     };
-    let addr = arg_value("--listen").unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    let server = match TcpServer::spawn_with(service.clone(), addr.as_str(), options) {
+    let addr = flags.value("--listen").unwrap_or("127.0.0.1:7878");
+    let server = match serve_tcp(service.clone(), addr, options) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("qpilotd: cannot listen on {addr}: {e}");
@@ -255,8 +218,8 @@ fn main() {
     };
     // The readiness line scripts (CI, service_report) wait for.
     println!("qpilotd listening on {}", server.local_addr());
-    if let Some(addr) = arg_value("--metrics-listen") {
-        match metrics::serve_http(&addr, service.clone()) {
+    if let Some(addr) = flags.value("--metrics-listen") {
+        match metrics::serve_http(addr, service.clone()) {
             Ok(local) => println!("qpilotd metrics on {local}"),
             Err(e) => {
                 eprintln!("qpilotd: cannot listen for metrics on {addr}: {e}");
@@ -273,7 +236,7 @@ fn main() {
             ("workers", Field::U64(service.stats().workers as u64)),
         ],
     );
-    let drain_budget = Duration::from_millis(arg_num("--drain-ms", 5_000u64));
+    let drain_budget = Duration::from_millis(flags.num("--drain-ms", 5_000u64));
     loop {
         if SIGTERMS.load(Ordering::SeqCst) > 0 {
             drain_and_exit(&server, &service, drain_budget);

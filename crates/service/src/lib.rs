@@ -27,10 +27,14 @@
 //!   request coalescing: concurrent identical misses run one compile and
 //!   all receive the same `Arc<str>`;
 //! * [`protocol`] — the line-delimited JSON request/response protocol;
-//! * [`server`] — stdio and TCP transports with bounded request lines.
+//! * [`server`] — stdio and TCP transports, one line framer for both;
+//! * [`shard`] — the fleet: consistent-hash placement and the one
+//!   dispatcher behind `qpilot-router` and `qpilot-cli --shards`.
 //!
-//! Two binaries ship with the crate: **`qpilotd`** (the daemon) and
-//! **`qpilot-cli`** (a client). `cargo run --release -p qpilot-bench
+//! Three binaries ship with the crate: **`qpilotd`** (the daemon),
+//! **`qpilot-router`** (a proxy in front of a sharded fleet) and
+//! **`qpilot-cli`** (a client); [`flags`] holds the daemons' shared
+//! command-line parser. `cargo run --release -p qpilot-bench
 //! --bin service_report` measures the warm/cold ratio and burst
 //! behaviour into `BENCH_service.json`.
 //!
@@ -59,6 +63,7 @@
 pub mod cache;
 pub mod events;
 pub mod faults;
+pub mod flags;
 pub mod metrics;
 pub mod pool;
 pub mod protocol;
@@ -81,6 +86,6 @@ pub use qpilot_core::compile::{
 };
 pub use qpilot_core::CancelToken;
 pub use reactor::{LineHandler, ReactorOptions, ReactorServer};
-pub use server::{serve_lines, serve_stdio, ServerOptions, TcpServer, MAX_REQUEST_LINE_BYTES};
+pub use server::{serve_lines, serve_stdio, serve_tcp, MAX_REQUEST_LINE_BYTES};
 pub use shard::ShardRing;
 pub use store::{RecoveryReport, ScheduleStore, StoreOptions};

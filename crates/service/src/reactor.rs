@@ -1,31 +1,29 @@
 //! A single-threaded readiness reactor for line-delimited protocols.
 //!
-//! This replaces the thread-per-connection accept loop: one reactor
-//! thread owns the listener and every connection through a
+//! One reactor thread owns the listener and every connection through a
 //! [`netpoll::Poller`] (epoll on Linux), runs nonblocking per-connection
 //! read/write state machines, and hands complete request lines to a
-//! small pool of *dispatcher* threads. Dispatchers call the pluggable
+//! pool of *dispatcher* threads. Dispatchers call the pluggable
 //! [`LineHandler`] — for `qpilotd` that is
-//! [`handle_line`](crate::protocol::handle_line) against the existing
-//! worker-pool [`Service`](crate::pool::Service), so responses stay
-//! byte-identical to the threaded transport — and push completions back
-//! over a channel, waking the reactor through a pipe
-//! ([`netpoll::Waker`]).
+//! [`handle_line`](crate::protocol::handle_line) against the worker-pool
+//! [`Service`](crate::pool::Service) — and push completions back over a
+//! channel, waking the reactor through a pipe ([`netpoll::Waker`]).
 //!
 //! The dispatcher pool exists because the service API is deliberately
 //! blocking: a compile miss parks its caller in the coalescing waiter
 //! map until the schedule lands. The reactor thread must never block on
 //! a request, so it only moves bytes; dispatchers absorb the blocking.
 //!
-//! Semantics preserved from the threaded transport, per connection:
+//! Per connection:
 //!
+//! * the bytes read are split into request lines by the framer that
+//!   also serves stdio, so the line rules of [`crate::server`] — the
+//!   [`MAX_REQUEST_LINE_BYTES`](crate::server::MAX_REQUEST_LINE_BYTES)
+//!   cap, UTF-8 replacement, blank keep-alives, a final line without a
+//!   newline — hold on both transports;
 //! * one response line per request line, in request order (completions
 //!   may finish out of order; a sequence-numbered reorder buffer holds
 //!   them until their turn);
-//! * request lines over [`MAX_REQUEST_LINE_BYTES`] are discarded as
-//!   they stream in and answered with an error line, and the
-//!   connection continues;
-//! * blank lines are keep-alives, not requests;
 //! * the per-line read deadline arms at the first byte of a line and
 //!   disarms at its newline; a connection stalled mid-line past the
 //!   deadline is closed (slow-loris defence);
@@ -35,10 +33,9 @@
 //!   reactor stops.
 //!
 //! Memory stays bounded without blocking the reactor: a connection with
-//! too many requests in flight or too large an unflushed write buffer
-//! has its read interest dropped (the bytes wait in the kernel socket
-//! buffer) until the backlog clears — level-triggered polling makes
-//! resumption free.
+//! 256 requests in flight or 4 MiB of unflushed replies has its read
+//! interest dropped (the bytes wait in the kernel socket buffer) until
+//! the backlog clears — level-triggered polling makes resumption free.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -52,8 +49,8 @@ use std::time::{Duration, Instant};
 
 use netpoll::{Interest, Poller, Waker};
 
-use crate::protocol::{next_request_id, render_error, Handled};
-use crate::server::MAX_REQUEST_LINE_BYTES;
+use crate::protocol::Handled;
+use crate::server::{Frame, LineFramer};
 
 /// The per-request callback: one request line in (newline stripped,
 /// never blank), one [`Handled`] out. Runs on a dispatcher thread, so
@@ -68,31 +65,26 @@ pub struct ReactorOptions {
     /// A request line must arrive in full within this window of its
     /// first byte, or the connection is closed (slow-loris defence).
     pub line_deadline: Duration,
-    /// Dispatcher threads calling the [`LineHandler`]. `0` sizes the
-    /// pool automatically (2× available parallelism, clamped to
-    /// [16, 64]).
-    pub dispatchers: usize,
-    /// Per-connection cap on requests dispatched but not yet written
-    /// back; a connection at the cap stops being read until responses
-    /// drain.
-    pub max_pipelined: usize,
-    /// Per-connection cap on unflushed response bytes; reads pause
-    /// above it.
-    pub max_write_buffer: usize,
 }
 
 impl Default for ReactorOptions {
     fn default() -> Self {
         ReactorOptions {
             line_deadline: Duration::from_secs(10),
-            dispatchers: 0,
-            max_pipelined: 256,
-            max_write_buffer: 4 * 1024 * 1024,
         }
     }
 }
 
-fn auto_dispatchers() -> usize {
+/// Per-connection cap on requests dispatched but not yet written back;
+/// a connection at the cap stops being read until responses drain.
+const PIPELINE_CAP: usize = 256;
+
+/// Per-connection cap on unflushed response bytes; reads pause above it.
+const WRITE_BACKLOG_CAP: usize = 4 * 1024 * 1024;
+
+/// Dispatcher threads calling the [`LineHandler`]: 2× available
+/// parallelism, clamped to [16, 64].
+fn dispatcher_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get() * 2)
         .unwrap_or(16)
@@ -172,12 +164,7 @@ impl ReactorServer {
         let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
         let (done_tx, done_rx) = std::sync::mpsc::channel::<Completion>();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let dispatchers = if options.dispatchers == 0 {
-            auto_dispatchers()
-        } else {
-            options.dispatchers
-        };
-        for _ in 0..dispatchers {
+        for _ in 0..dispatcher_count() {
             let job_rx = Arc::clone(&job_rx);
             let done_tx = done_tx.clone();
             let handler = Arc::clone(&handler);
@@ -314,17 +301,11 @@ fn dispatcher_loop(
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    /// Partial tail of the line in progress (complete lines are
-    /// consumed as they arrive).
-    read_buf: Vec<u8>,
-    /// The line in progress blew past [`MAX_REQUEST_LINE_BYTES`]; its
-    /// bytes are being discarded until the newline.
-    oversized: bool,
+    /// Splits the bytes read into request lines.
+    framer: LineFramer,
     /// Read side finished: peer EOF, shutdown response queued, or a
     /// fatal socket error.
     eof: bool,
-    /// Armed at the first byte of a line, disarmed at its newline.
-    deadline: Option<Instant>,
     /// Next sequence number to assign to an incoming request.
     next_seq: u64,
     /// Next sequence number to write out (responses go in request
@@ -343,18 +324,14 @@ struct Conn {
     dead: bool,
     /// Interest currently registered with the poller.
     registered: Interest,
-    /// Copied from [`ReactorOptions::line_deadline`] at accept time.
-    line_deadline: Duration,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, line_deadline: Duration) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            read_buf: Vec::new(),
-            oversized: false,
+            framer: LineFramer::default(),
             eof: false,
-            deadline: None,
             next_seq: 0,
             next_write: 0,
             inflight: 0,
@@ -364,7 +341,6 @@ impl Conn {
             shutdown_after_flush: false,
             dead: false,
             registered: Interest::READABLE,
-            line_deadline,
         }
     }
 
@@ -380,7 +356,7 @@ impl Conn {
     /// A line is partially received (which also means its deadline is
     /// armed).
     fn mid_line(&self) -> bool {
-        !self.read_buf.is_empty() || self.oversized
+        self.framer.line_started().is_some()
     }
 }
 
@@ -464,9 +440,9 @@ impl Reactor {
         let nearest = self
             .conns
             .values()
-            .filter_map(|c| c.deadline)
+            .filter_map(|c| c.framer.line_started())
             .min()
-            .map(|d| d.saturating_duration_since(now));
+            .map(|started| (started + self.options.line_deadline).saturating_duration_since(now));
         let ceiling = if drain {
             Duration::from_millis(25)
         } else {
@@ -496,8 +472,7 @@ impl Reactor {
                         continue;
                     }
                     self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    self.conns
-                        .insert(token, Conn::new(stream, self.options.line_deadline));
+                    self.conns.insert(token, Conn::new(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -506,43 +481,43 @@ impl Reactor {
         }
     }
 
-    /// Reads everything currently available on `token`, slicing the
-    /// bytes into request lines: blank lines are skipped, oversized
-    /// lines become inline error completions, and real lines are
-    /// dispatched. Stops early (leaving bytes in the kernel buffer)
-    /// when the connection hits its pipelining or write-buffer cap.
+    /// Reads everything currently available on `token` and queues the
+    /// complete lines in request order: requests go to the dispatchers,
+    /// and a too-long line's error reply waits in the reorder buffer
+    /// without a dispatcher round trip. Stops early (leaving bytes in
+    /// the kernel buffer) when the connection hits its pipelining or
+    /// write-buffer cap.
     fn handle_readable(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.eof || conn.dead {
-            return;
-        }
         let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if paused(conn, &self.options) {
-                break;
-            }
+        while !conn.eof && !conn.dead && !paused(conn) {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     conn.eof = true;
-                    // A final line without a trailing newline still
-                    // counts as a request (matching the threaded
-                    // transport's bounded reader).
-                    if conn.mid_line() {
-                        let tail = std::mem::take(&mut conn.read_buf);
-                        let oversized = std::mem::take(&mut conn.oversized);
-                        conn.deadline = None;
-                        finish_line(conn, &tail, oversized, &self.job_tx, token);
-                    }
-                    break;
+                    conn.framer.finish();
                 }
-                Ok(n) => ingest(conn, &chunk[..n], &self.job_tx, token),
+                Ok(n) => conn.framer.push(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    conn.dead = true;
-                    break;
+                Err(_) => conn.dead = true,
+            }
+            while let Some(frame) = conn.framer.next_frame() {
+                let seq = conn.next_seq;
+                conn.next_seq += 1;
+                match frame {
+                    Frame::Request(line) => {
+                        conn.inflight += 1;
+                        let _ = self.job_tx.send(Job { token, seq, line });
+                    }
+                    Frame::TooLong(response) => {
+                        let handled = Handled {
+                            response,
+                            shutdown: false,
+                        };
+                        conn.pending.insert(seq, handled);
+                    }
                 }
             }
         }
@@ -616,9 +591,13 @@ impl Reactor {
         let now = Instant::now();
         let drain = self.shared.drain.load(Ordering::SeqCst);
         let mut to_close: Vec<u64> = Vec::new();
+        let line_deadline = self.options.line_deadline;
         for (&token, conn) in &mut self.conns {
             if conn.dead
-                || conn.deadline.is_some_and(|d| now >= d)
+                || conn
+                    .framer
+                    .line_started()
+                    .is_some_and(|started| now >= started + line_deadline)
                 || (conn.eof && conn.quiescent())
                 || (drain && !conn.mid_line() && conn.quiescent())
             {
@@ -633,7 +612,7 @@ impl Reactor {
                 continue;
             };
             let want = Interest {
-                readable: !conn.eof && !conn.dead && !paused(conn, &self.options),
+                readable: !conn.eof && !conn.dead && !paused(conn),
                 writable: conn.write_backlog() > 0,
             };
             if want != conn.registered
@@ -662,9 +641,8 @@ impl Reactor {
 
 /// A connection over its pipelining or write-buffer cap stops being
 /// read until the backlog drains.
-fn paused(conn: &Conn, options: &ReactorOptions) -> bool {
-    conn.inflight + conn.pending.len() >= options.max_pipelined
-        || conn.write_backlog() >= options.max_write_buffer
+fn paused(conn: &Conn) -> bool {
+    conn.inflight + conn.pending.len() >= PIPELINE_CAP || conn.write_backlog() >= WRITE_BACKLOG_CAP
 }
 
 fn flush_writes(conn: &mut Conn) {
@@ -687,82 +665,6 @@ fn flush_writes(conn: &mut Conn) {
         conn.write_buf.clear();
         conn.write_pos = 0;
     }
-}
-
-/// Slices a fresh chunk of socket bytes into lines, updating the
-/// partial-line tail, the oversize discard state, and the line
-/// deadline.
-fn ingest(conn: &mut Conn, mut chunk: &[u8], job_tx: &Sender<Job>, token: u64) {
-    while let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
-        let (head, rest) = chunk.split_at(pos);
-        chunk = &rest[1..]; // past the newline
-        let oversized = conn.oversized || conn.read_buf.len() + head.len() > MAX_REQUEST_LINE_BYTES;
-        let line: Vec<u8> = if oversized {
-            Vec::new()
-        } else if conn.read_buf.is_empty() {
-            head.to_vec()
-        } else {
-            let mut full = std::mem::take(&mut conn.read_buf);
-            full.extend_from_slice(head);
-            full
-        };
-        conn.read_buf.clear();
-        conn.oversized = false;
-        conn.deadline = None; // the newline completes the line
-        finish_line(conn, &line, oversized, job_tx, token);
-    }
-    if !chunk.is_empty() {
-        if conn.oversized {
-            // Still discarding the current runaway line.
-        } else if conn.read_buf.len() + chunk.len() > MAX_REQUEST_LINE_BYTES {
-            conn.oversized = true;
-            conn.read_buf.clear();
-        } else {
-            conn.read_buf.extend_from_slice(chunk);
-        }
-    }
-    // A partial line is now in progress: arm its deadline if this is
-    // its first byte.
-    if conn.mid_line() && conn.deadline.is_none() {
-        conn.deadline = Some(Instant::now() + conn.line_deadline);
-    }
-}
-
-/// Emits the result of one complete line: skip blanks, answer
-/// oversized lines inline (no dispatcher round-trip, but still in
-/// sequence), dispatch the rest.
-fn finish_line(conn: &mut Conn, line: &[u8], oversized: bool, job_tx: &Sender<Job>, token: u64) {
-    if oversized {
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.pending.insert(
-            seq,
-            Handled {
-                // The line never parsed, so no client id exists to
-                // echo; a daemon-assigned one keeps the reply
-                // correlatable.
-                response: render_error(
-                    &format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    false,
-                    &next_request_id(),
-                ),
-                shutdown: false,
-            },
-        );
-        return;
-    }
-    let text = String::from_utf8_lossy(line);
-    if text.trim().is_empty() {
-        return; // blank keep-alive lines are not requests
-    }
-    let seq = conn.next_seq;
-    conn.next_seq += 1;
-    conn.inflight += 1;
-    let _ = job_tx.send(Job {
-        token,
-        seq,
-        line: text.into_owned(),
-    });
 }
 
 #[cfg(test)]

@@ -1,161 +1,180 @@
 //! Serving the protocol over stdio and TCP.
 //!
 //! Both transports are line-delimited: the daemon reads one request per
-//! line and writes exactly one response line, in order. TCP connections
-//! are multiplexed onto a single epoll-based reactor thread
-//! ([`crate::reactor`]): nonblocking accept plus per-connection
-//! read/write state machines, with request handling on a dispatcher
-//! pool feeding the same bounded compile queue as before. A `shutdown`
-//! request stops the transport: stdio returns from [`serve_stdio`], TCP
-//! flushes the response and stops the reactor.
+//! line and writes exactly one response line, in order. [`serve_stdio`]
+//! answers stdin on stdout from the calling thread; [`serve_tcp`] serves
+//! TCP connections through the epoll reactor ([`crate::reactor`]). A
+//! `shutdown` request stops the transport: stdio returns, TCP flushes
+//! the response and stops the reactor.
 //!
-//! Request lines are bounded on both transports: a line longer than
-//! [`MAX_REQUEST_LINE_BYTES`] is discarded as it streams in (the daemon
-//! never buffers it whole), answered with an error line, and the
-//! connection continues — an oversized or hostile client cannot balloon
-//! daemon memory or poison its own connection. Invalid UTF-8 is replaced
-//! rather than trusted, so arbitrary bytes at worst produce a JSON parse
-//! error response.
+//! One framer splits the bytes of both transports into request lines,
+//! so the line rules hold on both:
 //!
-//! TCP reads also carry a per-line deadline
-//! ([`ServerOptions::line_deadline`]): the clock arms when the first
-//! byte of a request line arrives and resets at its newline, so a
-//! slow-loris client trickling one byte at a time cannot pin a
-//! connection slot forever — the daemon closes the connection when
-//! the deadline lapses mid-line. Idle connections (no line in progress)
-//! are not affected, except during a drain
-//! ([`TcpServer::begin_drain`]), when an idle connection is treated as
-//! end-of-stream after its buffered requests are answered.
+//! * a line longer than [`MAX_REQUEST_LINE_BYTES`] is discarded as it
+//!   streams in (the daemon never buffers it whole) and answered with an
+//!   error line, and the stream continues — an oversized or hostile
+//!   client cannot balloon daemon memory or poison its own connection;
+//! * invalid UTF-8 is replaced rather than trusted, so arbitrary bytes at
+//!   worst produce a JSON parse error response;
+//! * blank lines are keep-alives, not requests;
+//! * a final line without a newline is still a request.
+//!
+//! The framer also notes when the line in progress got its first byte.
+//! TCP uses that for a per-line deadline
+//! ([`ReactorOptions::line_deadline`]): the clock arms at a line's first
+//! byte and disarms at its newline, so a slow-loris client trickling one
+//! byte at a time cannot pin a connection slot forever.
 
-use std::io::{self, BufRead, BufWriter, Write};
-use std::net::{SocketAddr, ToSocketAddrs};
+use std::collections::VecDeque;
+use std::io::{self, BufWriter, Read, Write};
+use std::net::ToSocketAddrs;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 use crate::pool::Service;
-use crate::protocol::{handle_line, render_error};
+use crate::protocol::{handle_line, next_request_id, render_error, Handled};
 use crate::reactor::{ReactorOptions, ReactorServer};
 
 /// Upper bound on one request line (bytes, newline excluded). Generous:
 /// a 100-qubit, 1000-gate inline circuit is ~15 KB.
 pub const MAX_REQUEST_LINE_BYTES: usize = 4 * 1024 * 1024;
 
-/// Tuning for [`TcpServer::spawn_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServerOptions {
-    /// A request line must arrive in full within this window of its
-    /// first byte, or the connection is closed (slow-loris defence).
-    pub line_deadline: Duration,
+/// One complete line out of a [`LineFramer`].
+pub(crate) enum Frame {
+    /// A request for the handler: newline stripped, invalid UTF-8
+    /// replaced, never blank.
+    Request(String),
+    /// The error reply to a line over [`MAX_REQUEST_LINE_BYTES`].
+    TooLong(String),
 }
 
-impl Default for ServerOptions {
-    fn default() -> Self {
-        ServerOptions {
-            line_deadline: Duration::from_secs(10),
+/// Splits a byte stream into request lines under the line rules of the
+/// module docs. Feed bytes as they arrive to [`LineFramer::push`], call
+/// [`LineFramer::finish`] at end of stream, and take the complete lines
+/// from [`LineFramer::next_frame`].
+#[derive(Default)]
+pub(crate) struct LineFramer {
+    /// The line in progress, while it is within the cap.
+    line: Vec<u8>,
+    /// The line in progress is over the cap; its bytes are discarded
+    /// until its newline.
+    too_long: bool,
+    /// When the line in progress got its first byte.
+    started: Option<Instant>,
+    /// Complete frames not yet taken.
+    ready: VecDeque<Frame>,
+}
+
+impl LineFramer {
+    /// Takes the next bytes of the stream.
+    pub(crate) fn push(&mut self, mut bytes: &[u8]) {
+        while let Some(at) = bytes.iter().position(|&b| b == b'\n') {
+            self.append(&bytes[..at]);
+            self.end_line();
+            bytes = &bytes[at + 1..];
+        }
+        if !bytes.is_empty() {
+            self.started.get_or_insert_with(Instant::now);
+            self.append(bytes);
         }
     }
-}
 
-/// One read-side event from the bounded line reader.
-enum LineEvent {
-    /// A complete line within the cap (may be empty).
-    Line,
-    /// A line that exceeded the cap; its bytes were discarded.
-    Oversized,
-    /// End of stream.
-    Eof,
-}
-
-/// Reads one newline-terminated line into `buf` (cleared first), capped
-/// at [`MAX_REQUEST_LINE_BYTES`]. On overflow the rest of the line is
-/// consumed and discarded so the stream stays line-synchronised.
-fn read_bounded_line(input: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<LineEvent> {
-    buf.clear();
-    let mut overflowed = false;
-    loop {
-        let chunk = input.fill_buf()?;
-        if chunk.is_empty() {
-            return Ok(if overflowed {
-                LineEvent::Oversized
-            } else if buf.is_empty() {
-                LineEvent::Eof
-            } else {
-                LineEvent::Line // final line without trailing newline
-            });
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(chunk.len(), |i| i + 1);
-        if !overflowed {
-            let body = &chunk[..newline.unwrap_or(take)];
-            if buf.len() + body.len() > MAX_REQUEST_LINE_BYTES {
-                overflowed = true;
-                buf.clear();
-            } else {
-                buf.extend_from_slice(body);
-            }
-        }
-        input.consume(take);
-        if newline.is_some() {
-            return Ok(if overflowed {
-                LineEvent::Oversized
-            } else {
-                LineEvent::Line
-            });
+    /// Ends the stream: a line in progress is complete without its
+    /// newline.
+    pub(crate) fn finish(&mut self) {
+        if self.started.is_some() {
+            self.end_line();
         }
     }
-}
 
-/// The shared request loop behind both transports. Returns the number of
-/// requests handled and whether a `shutdown` request ended the loop.
-fn serve_loop(
-    service: &Service,
-    mut input: impl BufRead,
-    mut output: impl Write,
-) -> io::Result<(u64, bool)> {
-    let mut handled_count = 0u64;
-    let mut buf = Vec::new();
-    loop {
-        match read_bounded_line(&mut input, &mut buf)? {
-            LineEvent::Eof => return Ok((handled_count, false)),
-            LineEvent::Oversized => {
-                // The line never parsed, so no client id exists to echo;
-                // a daemon-assigned one keeps the reply correlatable.
-                let error = render_error(
-                    &format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                    false,
-                    &crate::protocol::next_request_id(),
-                );
-                output.write_all(error.as_bytes())?;
-                output.write_all(b"\n")?;
-                output.flush()?;
-                handled_count += 1;
-            }
-            LineEvent::Line => {
-                let line = String::from_utf8_lossy(&buf);
-                if line.trim().is_empty() {
-                    continue; // blank keep-alive lines are not requests
-                }
-                let handled = handle_line(service, &line);
-                output.write_all(handled.response.as_bytes())?;
-                output.write_all(b"\n")?;
-                output.flush()?;
-                handled_count += 1;
-                if handled.shutdown {
-                    return Ok((handled_count, true));
-                }
-            }
+    /// The oldest complete frame not yet taken.
+    pub(crate) fn next_frame(&mut self) -> Option<Frame> {
+        self.ready.pop_front()
+    }
+
+    /// When the line in progress got its first byte; `None` between
+    /// lines.
+    pub(crate) fn line_started(&self) -> Option<Instant> {
+        self.started
+    }
+
+    fn append(&mut self, bytes: &[u8]) {
+        if self.too_long {
+            return;
+        }
+        if self.line.len() + bytes.len() > MAX_REQUEST_LINE_BYTES {
+            self.too_long = true;
+            self.line = Vec::new();
+        } else {
+            self.line.extend_from_slice(bytes);
+        }
+    }
+
+    fn end_line(&mut self) {
+        self.started = None;
+        if std::mem::take(&mut self.too_long) {
+            // The line never parsed, so no client id exists to echo; a
+            // daemon-assigned one keeps the reply correlatable.
+            let message = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+            let reply = render_error(&message, false, &next_request_id());
+            self.ready.push_back(Frame::TooLong(reply));
+            return;
+        }
+        let line = match String::from_utf8(std::mem::take(&mut self.line)) {
+            Ok(line) => line,
+            Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+        };
+        if !line.trim().is_empty() {
+            self.ready.push_back(Frame::Request(line));
         }
     }
 }
 
 /// Serves requests from `input` to `output` until EOF or a `shutdown`
-/// request. Returns the number of requests handled.
+/// request. Returns the number of requests answered.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the transport.
-pub fn serve_lines(service: &Service, input: impl BufRead, output: impl Write) -> io::Result<u64> {
-    serve_loop(service, input, output).map(|(count, _)| count)
+pub fn serve_lines(
+    service: &Service,
+    mut input: impl Read,
+    mut output: impl Write,
+) -> io::Result<u64> {
+    let mut framer = LineFramer::default();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut answered = 0u64;
+    loop {
+        let n = match input.read(&mut chunk) {
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if n == 0 {
+            framer.finish();
+        } else {
+            framer.push(&chunk[..n]);
+        }
+        while let Some(frame) = framer.next_frame() {
+            let handled = match frame {
+                Frame::Request(line) => handle_line(service, &line),
+                Frame::TooLong(response) => Handled {
+                    response,
+                    shutdown: false,
+                },
+            };
+            output.write_all(handled.response.as_bytes())?;
+            output.write_all(b"\n")?;
+            output.flush()?;
+            answered += 1;
+            if handled.shutdown {
+                return Ok(answered);
+            }
+        }
+        if n == 0 {
+            return Ok(answered);
+        }
+    }
 }
 
 /// Serves stdin → stdout (the `qpilotd --stdio` mode).
@@ -164,96 +183,42 @@ pub fn serve_lines(service: &Service, input: impl BufRead, output: impl Write) -
 ///
 /// See [`serve_lines`].
 pub fn serve_stdio(service: &Service) -> io::Result<u64> {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    serve_lines(service, stdin.lock(), BufWriter::new(stdout.lock()))
+    serve_lines(
+        service,
+        io::stdin().lock(),
+        BufWriter::new(io::stdout().lock()),
+    )
 }
 
-/// A running TCP server: the protocol served through the epoll reactor
-/// ([`crate::reactor::ReactorServer`]) with [`handle_line`] as its
-/// request handler. Dropping the handle without calling
-/// [`TcpServer::shutdown`] leaves the reactor thread running detached.
-pub struct TcpServer {
-    inner: ReactorServer,
-}
-
-impl TcpServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// serving connections on the reactor thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn(service: Service, addr: impl ToSocketAddrs) -> io::Result<TcpServer> {
-        TcpServer::spawn_with(service, addr, ServerOptions::default())
-    }
-
-    /// [`TcpServer::spawn`] with explicit [`ServerOptions`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_with(
-        service: Service,
-        addr: impl ToSocketAddrs,
-        options: ServerOptions,
-    ) -> io::Result<TcpServer> {
-        let reactor_options = ReactorOptions {
-            line_deadline: options.line_deadline,
-            ..ReactorOptions::default()
-        };
-        let inner = ReactorServer::spawn(
-            addr,
-            reactor_options,
-            Arc::new(move |line: &str| handle_line(&service, line)),
-        )?;
-        Ok(TcpServer { inner })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.inner.local_addr()
-    }
-
-    /// Starts a graceful drain: the reactor stops accepting and each
-    /// live connection finishes the requests it has already received,
-    /// then closes. Pair with [`TcpServer::drain_wait`].
-    pub fn begin_drain(&self) {
-        self.inner.begin_drain();
-    }
-
-    /// Waits up to `timeout` for every live connection to finish after
-    /// [`TcpServer::begin_drain`]. Returns `true` when the server went
-    /// idle in time.
-    pub fn drain_wait(&self, timeout: Duration) -> bool {
-        self.inner.drain_wait(timeout)
-    }
-
-    /// `true` once the reactor thread has exited (a client sent
-    /// `shutdown`, or a drain/shutdown was requested locally).
-    pub fn is_finished(&self) -> bool {
-        self.inner.is_finished()
-    }
-
-    /// Stops the reactor and joins its thread. Live connections are
-    /// closed after a best-effort flush of completed responses.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
-
-    /// Blocks until the server stops (a client sent `shutdown`).
-    pub fn wait(self) {
-        self.inner.wait();
-    }
+/// Serves the protocol over TCP: binds `addr` (e.g. `127.0.0.1:0` for an
+/// ephemeral port) and answers every request line with [`handle_line`]
+/// against `service` on the epoll reactor. The returned handle drains,
+/// stops or waits for the server.
+///
+/// # Errors
+///
+/// Propagates bind and poller-creation failures.
+pub fn serve_tcp(
+    service: Service,
+    addr: impl ToSocketAddrs,
+    options: ReactorOptions,
+) -> io::Result<ReactorServer> {
+    ReactorServer::spawn(
+        addr,
+        options,
+        Arc::new(move |line: &str| handle_line(&service, line)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::ServiceConfig;
-    use std::io::{BufReader, Cursor};
+    use proptest::prelude::*;
+    use proptest::test_runner::ProptestConfig;
+    use std::io::{BufRead, BufReader, Cursor};
     use std::net::TcpStream;
-    use std::time::Instant;
+    use std::time::Duration;
 
     fn service() -> Service {
         Service::new(ServiceConfig {
@@ -263,6 +228,119 @@ mod tests {
             cache_shards: 2,
             ..ServiceConfig::default()
         })
+    }
+
+    /// Feeds `pieces` in order, then ends the stream. Each frame comes
+    /// back as its request line, or `None` for a too-long line.
+    fn frames(pieces: &[&[u8]]) -> Vec<Option<String>> {
+        let mut framer = LineFramer::default();
+        for piece in pieces {
+            framer.push(piece);
+        }
+        framer.finish();
+        std::iter::from_fn(|| framer.next_frame())
+            .map(|frame| match frame {
+                Frame::Request(line) => Some(line),
+                Frame::TooLong(reply) => {
+                    assert!(reply.starts_with("{\"ok\":false"), "{reply}");
+                    assert!(reply.contains("request line exceeds 4194304 bytes"));
+                    None
+                }
+            })
+            .collect()
+    }
+
+    /// Stream pieces, each with the frames it yields on its own.
+    fn segments() -> Vec<(Vec<u8>, Vec<Option<String>>)> {
+        let at_cap = "a".repeat(MAX_REQUEST_LINE_BYTES);
+        let ping = r#"{"op":"ping"}"#;
+        vec![
+            (
+                format!("{ping}\n").into_bytes(),
+                vec![Some(ping.to_string())],
+            ),
+            (b"\n".to_vec(), vec![]),
+            (b" \t\r\n".to_vec(), vec![]),
+            (
+                b"{\"op\":\"stats\"}\r\n".to_vec(),
+                vec![Some("{\"op\":\"stats\"}\r".to_string())],
+            ),
+            (
+                b"\xFF\xFEok\n".to_vec(),
+                vec![Some("\u{FFFD}\u{FFFD}ok".to_string())],
+            ),
+            (format!("{at_cap}\n").into_bytes(), vec![Some(at_cap)]),
+            (
+                [vec![b'b'; MAX_REQUEST_LINE_BYTES + 1], b"\n".to_vec()].concat(),
+                vec![None],
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Any chunking of a stream yields the frames of the whole
+        /// stream, and those are the frames of its lines taken one by
+        /// one. Chunks may start or end at a newline, and the final line
+        /// may lack its newline.
+        #[test]
+        fn every_chunking_yields_the_frames_of_the_whole_stream(
+            picks in prop::collection::vec(0usize..7, 1..6),
+            unterminated in 0u32..2,
+            edges in prop::collection::vec(0u32..3, 8..9),
+            cuts in prop::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let segments = segments();
+            let mut stream = Vec::new();
+            let mut expected = Vec::new();
+            for &pick in &picks {
+                stream.extend_from_slice(&segments[pick].0);
+                expected.extend(segments[pick].1.iter().cloned());
+            }
+            if unterminated == 1 {
+                stream.pop(); // every segment ends in a newline
+            }
+            // Split at random points, and just before or just after
+            // newlines, so a newline opens or closes a chunk.
+            let mut splits: Vec<usize> =
+                cuts.iter().map(|f| (f * stream.len() as f64) as usize).collect();
+            let newlines = stream.iter().enumerate().filter(|&(_, &b)| b == b'\n');
+            for (k, (at, _)) in newlines.enumerate() {
+                match edges[k % edges.len()] {
+                    1 => splits.push(at),
+                    2 => splits.push(at + 1),
+                    _ => {}
+                }
+            }
+            splits.push(stream.len());
+            splits.sort_unstable();
+            splits.dedup();
+            let mut pieces: Vec<&[u8]> = Vec::new();
+            let mut from = 0;
+            for to in splits {
+                pieces.push(&stream[from..to]);
+                from = to;
+            }
+            let whole = frames(&[&stream]);
+            prop_assert!(whole == expected, "whole stream: {} frames", whole.len());
+            prop_assert!(frames(&pieces) == whole, "{} pieces", pieces.len());
+        }
+    }
+
+    #[test]
+    fn the_line_clock_runs_from_first_byte_to_newline() {
+        let mut framer = LineFramer::default();
+        framer.push(b"{\"op\":\"pi");
+        let first = framer.line_started().expect("a line is in progress");
+        framer.push(b"ng\"}");
+        assert_eq!(framer.line_started(), Some(first), "same line, same clock");
+        std::thread::sleep(Duration::from_millis(2));
+        framer.push(b"\n{\"op\"");
+        let second = framer.line_started().expect("the next line started");
+        assert!(second > first, "a newline restarts the clock");
+        framer.push(b":\"ping\"}\n");
+        assert_eq!(framer.line_started(), None, "no line in progress");
     }
 
     #[test]
@@ -318,7 +396,7 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_and_explicit_shutdown() {
-        let server = TcpServer::spawn(service(), "127.0.0.1:0").unwrap();
+        let server = serve_tcp(service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
         let addr = server.local_addr();
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -341,7 +419,7 @@ mod tests {
             faults: crate::faults::FaultSpec::parse("worker-stall=100:2").unwrap(),
             ..ServiceConfig::default()
         });
-        let server = TcpServer::spawn(svc.clone(), "127.0.0.1:0").unwrap();
+        let server = serve_tcp(svc.clone(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
         let addr = server.local_addr();
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -379,10 +457,10 @@ mod tests {
 
     #[test]
     fn a_trickling_request_line_is_cut_off_at_the_read_deadline() {
-        let options = ServerOptions {
+        let options = ReactorOptions {
             line_deadline: Duration::from_millis(300),
         };
-        let server = TcpServer::spawn_with(service(), "127.0.0.1:0", options).unwrap();
+        let server = serve_tcp(service(), "127.0.0.1:0", options).unwrap();
         let addr = server.local_addr();
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -412,7 +490,7 @@ mod tests {
 
     #[test]
     fn tcp_client_shutdown_request_stops_acceptor() {
-        let server = TcpServer::spawn(service(), "127.0.0.1:0").unwrap();
+        let server = serve_tcp(service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
         let addr = server.local_addr();
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -1,6 +1,7 @@
 //! Horizontal shard fan-out: consistent-hash routing on the
 //! `qpilot.compile/v2` fingerprint, plus cross-shard aggregation of the
-//! observability ops.
+//! observability ops, behind one dispatcher ([`route`]) that both
+//! `qpilot-router` and `qpilot-cli --shards` call.
 //!
 //! A shard is just a `qpilotd` daemon with its own cache and store; the
 //! fleet needs no coordination because compilation is a deterministic
@@ -28,6 +29,11 @@
 //! carry a `"shards":N` field so clients can tell them from single
 //! daemon answers.
 //!
+//! A shard that cannot answer turns into an `{"ok":false,…}` line with
+//! `"retry":true` that echoes the client's `request_id`: the condition
+//! is transient from the client's seat, since the shard may come back
+//! or the operator may repoint the ring.
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +54,8 @@
 
 use qpilot_circuit::fingerprint::{Fingerprint, StableHasher};
 use qpilot_core::json::{self, json_str, Value};
+
+use crate::protocol::{next_request_id, parse_request, render_error, Handled, Request};
 
 /// Virtual points per shard on the ring. More points smooth the load
 /// split (the relative imbalance shrinks like `1/sqrt(replicas)`) at
@@ -125,6 +133,83 @@ impl ShardRing {
     }
 }
 
+/// Routes one request line across the fleet. `round_trip(shard, line)`
+/// sends `line` to the shard at index `shard` of [`ShardRing::addrs`]
+/// and returns its response line, or an error message when the shard
+/// cannot answer.
+///
+/// * `compile` goes to the owner of its fingerprint, whose response is
+///   relayed byte for byte;
+/// * `stats`, `store-stats` and `metrics` go to every shard and come
+///   back merged, with `"shards":N`;
+/// * `shutdown` goes to every shard, even past one that fails, and the
+///   fleet answers for itself with `shutdown` set;
+/// * `ping` and lines that do not parse go to the first shard, which
+///   renders them as any daemon would.
+///
+/// A shard that cannot answer, or replies that do not merge, become an
+/// error line with `"retry":true`.
+pub fn route(
+    ring: &ShardRing,
+    line: &str,
+    mut round_trip: impl FnMut(usize, &str) -> Result<String, String>,
+) -> Handled {
+    let merge: fn(&[String], &str) -> Result<String, String> = match parse_request(line) {
+        Ok(Request::Compile { request, .. }) => {
+            let owner = ring.index_for(&request.fingerprint());
+            return relay(round_trip(owner, line), line);
+        }
+        Ok(Request::Ping) | Err(_) => return relay(round_trip(0, line), line),
+        Ok(Request::Shutdown) => {
+            for shard in 0..ring.len() {
+                let _ = round_trip(shard, line);
+            }
+            return Handled {
+                response: format!(
+                    "{{\"ok\":true,\"op\":\"shutdown\",\"request_id\":{}}}",
+                    json_str(&request_id_of(line))
+                ),
+                shutdown: true,
+            };
+        }
+        Ok(Request::Stats) => aggregate_stats,
+        Ok(Request::StoreStats) => aggregate_store_stats,
+        Ok(Request::Metrics) => aggregate_metrics,
+    };
+    let request_id = request_id_of(line);
+    let response = (0..ring.len())
+        .map(|shard| round_trip(shard, line))
+        .collect::<Result<Vec<String>, String>>()
+        .and_then(|responses| merge(&responses, &request_id))
+        .unwrap_or_else(|e| render_error(&e, true, &request_id));
+    Handled {
+        response,
+        shutdown: false,
+    }
+}
+
+/// One shard's answer, relayed as is, or its failure as a retry line.
+fn relay(answer: Result<String, String>, line: &str) -> Handled {
+    Handled {
+        response: answer.unwrap_or_else(|e| render_error(&e, true, &request_id_of(line))),
+        shutdown: false,
+    }
+}
+
+/// The client-visible `request_id` of a request line: the client's own
+/// when present, a fresh daemon-assigned one otherwise (matching the
+/// daemon's echo contract).
+fn request_id_of(line: &str) -> String {
+    json::parse(line)
+        .ok()
+        .and_then(|doc| {
+            doc.get("request_id")
+                .and_then(Value::as_str)
+                .map(str::to_string)
+        })
+        .unwrap_or_else(next_request_id)
+}
+
 /// A fingerprint's position on the ring. The fingerprint is already a
 /// uniform 128-bit hash, but it is re-hashed here so the key-space and
 /// the shard-point space come from the same family while staying
@@ -185,7 +270,9 @@ fn parse_ok_docs(lines: &[String], op: &str) -> Result<Vec<Value>, String> {
 /// response: counters and sizes are exact sums, `hit_rate` is
 /// recomputed from the summed hit/miss counters, `draining` is true if
 /// any shard is draining, and latency percentiles take the worst
-/// shard. The response carries `"shards":N`.
+/// shard. A daemon omits the latency row of a path that never served a
+/// request, so the fleet reports every path any shard reports, in the
+/// daemon's order. The response carries `"shards":N`.
 ///
 /// # Errors
 ///
@@ -248,23 +335,20 @@ pub fn aggregate_stats(lines: &[String], request_id: &str) -> Result<String, Str
     }
     // Per-path latency: counts sum; percentiles take the worst shard.
     out.push_str(",\"latency\":{");
-    let paths: Vec<&str> = docs
-        .first()
-        .and_then(|d| d.get("latency"))
-        .map(|l| match l {
-            Value::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
-            _ => Vec::new(),
-        })
-        .unwrap_or_default();
-    for (i, path) in paths.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut first = true;
+    for (path, _) in crate::metrics::REQUEST_PATHS {
         let per_path: Vec<Value> = docs
             .iter()
             .filter_map(|d| d.get("latency").and_then(|l| l.get(path)))
             .cloned()
             .collect();
+        if per_path.is_empty() {
+            continue;
+        }
+        if !first {
+            out.push(',');
+        }
+        first = false;
         out.push_str(&json_str(path));
         out.push_str(":{\"count\":");
         out.push_str(&sum_u64(&per_path, "count").to_string());
@@ -613,6 +697,157 @@ mod tests {
         assert_eq!(doc.get("persisted").and_then(Value::as_u64), Some(5));
         assert_eq!(doc.get("entries").and_then(Value::as_u64), Some(6));
         assert_eq!(doc.get("shards").and_then(Value::as_u64), Some(2));
+    }
+
+    #[test]
+    fn aggregate_stats_keeps_every_shards_latency_rows() {
+        // Shard A never served a hit, so its reply has no `hit` row.
+        let a = r#"{"ok":true,"op":"stats","requests":1,"hits":0,"misses":1,"latency":{"miss":{"count":1,"p50_ms":2.0,"p90_ms":2.0,"p99_ms":2.0}}}"#;
+        let b = r#"{"ok":true,"op":"stats","requests":2,"hits":1,"misses":1,"latency":{"hit":{"count":1,"p50_ms":0.1,"p90_ms":0.2,"p99_ms":0.3},"miss":{"count":1,"p50_ms":3.0,"p90_ms":3.0,"p99_ms":3.5}}}"#;
+        let merged = aggregate_stats(&[a.to_string(), b.to_string()], "agg-4").unwrap();
+        let latency = json::parse(&merged)
+            .unwrap()
+            .get("latency")
+            .cloned()
+            .unwrap();
+        let row = |path: &str, key: &str| latency.get(path).and_then(|r| r.get(key)).cloned();
+        assert_eq!(row("hit", "count"), Some(Value::Num(1.0)), "{merged}");
+        assert_eq!(row("hit", "p99_ms"), Some(Value::Num(0.3)), "{merged}");
+        assert_eq!(row("miss", "count"), Some(Value::Num(2.0)), "{merged}");
+        assert_eq!(row("miss", "p99_ms"), Some(Value::Num(3.5)), "{merged}");
+        assert!(
+            merged.find("\"hit\":") < merged.find("\"miss\":"),
+            "rows follow the daemon's path order: {merged}"
+        );
+    }
+
+    /// A fake shard's reply: an ok line echoing the request's `op`,
+    /// tagged with the shard that sent it.
+    fn fake_reply(shard: usize, line: &str) -> String {
+        let op = json::parse(line)
+            .ok()
+            .and_then(|doc| doc.get("op").and_then(Value::as_str).map(str::to_string))
+            .unwrap_or_default();
+        format!(
+            "{{\"ok\":true,\"op\":{},\"shard\":{shard},\"requests\":1,\"persisted\":1,\"exposition\":\"qpilot_requests_total 1\\n\"}}",
+            json_str(&op)
+        )
+    }
+
+    /// Routes `line` over a fake three-shard fleet in which shard `down`
+    /// fails. Returns the reply and the shards called, in order.
+    fn route_fake(line: &str, down: Option<usize>) -> (Handled, Vec<usize>) {
+        let ring = ShardRing::new(&["s0:1".into(), "s1:1".into(), "s2:1".into()]);
+        let mut calls = Vec::new();
+        let handled = route(&ring, line, |shard, sent| {
+            assert_eq!(sent, line, "lines are relayed verbatim");
+            calls.push(shard);
+            if Some(shard) == down {
+                return Err(format!("shard {shard} unreachable"));
+            }
+            Ok(fake_reply(shard, sent))
+        });
+        (handled, calls)
+    }
+
+    /// A compile line with a client id whose owner is not shard 0, so
+    /// reaching the owner differs from the first-shard default.
+    fn compile_line_and_owner() -> (String, usize) {
+        let ring = ShardRing::new(&["s0:1".into(), "s1:1".into(), "s2:1".into()]);
+        (2..40)
+            .map(|n| {
+                format!(
+                    r#"{{"op":"compile","circuit":{{"num_qubits":{n},"gates":[["cz",0,1]]}},"request_id":"c-1"}}"#
+                )
+            })
+            .find_map(|line| match parse_request(&line) {
+                Ok(Request::Compile { request, .. }) => {
+                    let owner = ring.index_for(&request.fingerprint());
+                    (owner != 0).then_some((line, owner))
+                }
+                _ => None,
+            })
+            .expect("some circuit is owned by another shard")
+    }
+
+    #[test]
+    fn route_sends_a_compile_to_its_owner_only() {
+        let (line, owner) = compile_line_and_owner();
+        let (handled, calls) = route_fake(&line, None);
+        assert_eq!(calls, vec![owner]);
+        assert_eq!(
+            handled.response,
+            fake_reply(owner, &line),
+            "relayed byte for byte"
+        );
+        assert!(!handled.shutdown);
+    }
+
+    #[test]
+    fn route_merges_the_observability_ops_over_every_shard() {
+        for op in ["stats", "store-stats", "metrics"] {
+            let line = format!(r#"{{"op":"{op}","request_id":"c-2"}}"#);
+            let (handled, calls) = route_fake(&line, None);
+            assert_eq!(calls, vec![0, 1, 2], "{op}");
+            let doc = json::parse(&handled.response).unwrap();
+            assert_eq!(doc.get("ok"), Some(&Value::Bool(true)), "{op}");
+            assert_eq!(doc.get("op").and_then(Value::as_str), Some(op));
+            assert_eq!(doc.get("shards").and_then(Value::as_u64), Some(3), "{op}");
+            assert_eq!(doc.get("request_id").and_then(Value::as_str), Some("c-2"));
+        }
+        let (stats, _) = route_fake(r#"{"op":"stats"}"#, None);
+        assert!(
+            stats.response.contains("\"requests\":3"),
+            "{}",
+            stats.response
+        );
+        let (metrics, _) = route_fake(r#"{"op":"metrics"}"#, None);
+        assert!(
+            metrics.response.contains("qpilot_requests_total 3"),
+            "{}",
+            metrics.response
+        );
+    }
+
+    #[test]
+    fn route_shuts_down_every_shard_even_past_a_failure() {
+        let (handled, calls) = route_fake(r#"{"op":"shutdown","request_id":"c-3"}"#, Some(1));
+        assert_eq!(calls, vec![0, 1, 2]);
+        assert!(handled.shutdown);
+        assert_eq!(
+            handled.response,
+            r#"{"ok":true,"op":"shutdown","request_id":"c-3"}"#
+        );
+    }
+
+    #[test]
+    fn route_sends_ping_and_malformed_lines_to_the_first_shard() {
+        for line in [r#"{"op":"ping"}"#, "not json", r#"{"op":"warp"}"#] {
+            let (handled, calls) = route_fake(line, None);
+            assert_eq!(calls, vec![0], "{line}");
+            assert_eq!(handled.response, fake_reply(0, line));
+        }
+    }
+
+    #[test]
+    fn route_turns_a_failing_shard_into_a_retry_line() {
+        let (line, owner) = compile_line_and_owner();
+        let (compile, _) = route_fake(&line, Some(owner));
+        let (stats, _) = route_fake(r#"{"op":"stats","request_id":"c-1"}"#, Some(2));
+        let (ping, _) = route_fake(r#"{"op":"ping","request_id":"c-1"}"#, Some(0));
+        for handled in [compile, stats, ping] {
+            let doc = json::parse(&handled.response).unwrap();
+            assert_eq!(
+                doc.get("ok"),
+                Some(&Value::Bool(false)),
+                "{}",
+                handled.response
+            );
+            assert_eq!(doc.get("retry"), Some(&Value::Bool(true)));
+            assert_eq!(doc.get("request_id").and_then(Value::as_str), Some("c-1"));
+            assert!(handled.response.contains("unreachable"));
+            assert!(!handled.shutdown);
+        }
     }
 
     #[test]

@@ -7,8 +7,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use qpilot_core::json::{self, Value};
+use qpilot_service::protocol::{circuit_to_value_json, compile_request_line};
+use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
 
 struct Daemon {
     child: Child,
@@ -184,4 +187,37 @@ fn corrupted_store_never_blocks_startup() {
     let mut child = daemon.child;
     child.wait().expect("daemon exits");
     let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Restart time is bounded: a store of four 100-qubit schedules
+/// (~0.5 MB of JSON each) is read back in well under 2 s, even by a
+/// debug build, so recovery cannot grow with the square of a blob.
+#[test]
+fn four_100_qubit_blobs_recover_within_2_s() {
+    let store = temp_store("recovery");
+    let daemon = spawn_daemon(&store);
+    for seed in 1..=4 {
+        let circuit = random_circuit(&RandomCircuitConfig::paper(100, 10, seed));
+        let line = compile_request_line(&circuit_to_value_json(&circuit), None, None, None, false);
+        let reply = request(daemon.addr, &line);
+        assert_eq!(reply.get("cache").and_then(Value::as_str), Some("miss"));
+    }
+    request(daemon.addr, r#"{"op":"shutdown"}"#);
+    let mut child = daemon.child;
+    child.wait().expect("daemon exits");
+
+    // The readiness line follows recovery.
+    let started = Instant::now();
+    let daemon = spawn_daemon(&store);
+    let recovery = started.elapsed();
+    let stats = request(daemon.addr, r#"{"op":"stats"}"#);
+    request(daemon.addr, r#"{"op":"shutdown"}"#);
+    let mut child = daemon.child;
+    child.wait().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&store);
+    assert_eq!(stats.get("store_loaded").and_then(Value::as_u64), Some(4));
+    assert!(
+        recovery < Duration::from_secs(2),
+        "recovering 4 blobs took {recovery:?}"
+    );
 }

@@ -1,4 +1,4 @@
-//! End-to-end service tests: a real `TcpServer` on a loopback port, the
+//! End-to-end service tests: a real TCP server on a loopback port, the
 //! wire protocol over actual sockets, QASM-carried workloads, and
 //! backpressure behaviour.
 
@@ -9,7 +9,9 @@ use qpilot_circuit::Circuit;
 use qpilot_core::json::{self, json_str, Value};
 use qpilot_core::wire::schedule_from_value;
 use qpilot_service::protocol::{circuit_to_value_json, compile_request_line};
-use qpilot_service::{CompileRequest, Service, ServiceConfig, TcpServer};
+use qpilot_service::{
+    serve_tcp, CompileRequest, ReactorOptions, Service, ServiceConfig, MAX_REQUEST_LINE_BYTES,
+};
 use qpilot_workloads::bv::bernstein_vazirani_random;
 use qpilot_workloads::graphs::erdos_renyi;
 use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
@@ -65,7 +67,7 @@ fn workload_circuits() -> Vec<(&'static str, Circuit)> {
 
 #[test]
 fn tcp_compile_twice_hits_cache_with_byte_identical_schedule() {
-    let server = TcpServer::spawn(test_service(2, 8), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(test_service(2, 8), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr());
 
     let circuit = random_circuit(&RandomCircuitConfig::paper(8, 3, 1));
@@ -99,7 +101,7 @@ fn tcp_compile_twice_hits_cache_with_byte_identical_schedule() {
 
 #[test]
 fn workloads_compile_identically_via_qasm_and_inline_circuit() {
-    let server = TcpServer::spawn(test_service(2, 8), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(test_service(2, 8), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr());
 
     for (name, circuit) in workload_circuits() {
@@ -145,7 +147,7 @@ fn workloads_compile_identically_via_qasm_and_inline_circuit() {
 
 #[test]
 fn racing_tcp_clients_on_one_cold_fingerprint_compile_exactly_once() {
-    let server = TcpServer::spawn(test_service(4, 8), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(test_service(4, 8), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let addr = server.local_addr();
     let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
     let handles: Vec<_> = (0..8)
@@ -206,7 +208,7 @@ fn concurrent_burst_with_tiny_queue_loses_no_request() {
     // of coalescing and `Overloaded` shedding. Every rejection must
     // carry a machine-readable `retry_after_ms` hint, and a client that
     // honours it always lands.
-    let server = TcpServer::spawn(test_service(1, 2), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(test_service(1, 2), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let addr = server.local_addr();
     let handles: Vec<_> = (0..16)
         .map(|i| {
@@ -258,7 +260,7 @@ fn in_process_api_matches_wire_results() {
         .compile(CompileRequest::new(circuit.clone()))
         .expect("api compile");
 
-    let server = TcpServer::spawn(service, "127.0.0.1:0").unwrap();
+    let server = serve_tcp(service, "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr());
     let line = compile_request_line(&circuit_to_value_json(&circuit), None, None, None, true);
     let wire = client.request(&line);
@@ -334,9 +336,45 @@ fn daemon_binary_rejects_unknown_and_malformed_flags() {
     }
 }
 
+/// `qpilotd --stdio` end to end: a ping, a blank keep-alive, an
+/// oversized line and a final ping without its newline draw three
+/// replies in order, and end of input stops the daemon cleanly.
+#[test]
+fn daemon_binary_serves_stdio_until_end_of_input() {
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qpilotd"))
+        .args(["--stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn qpilotd");
+    let mut input = b"{\"op\":\"ping\",\"request_id\":\"s-1\"}\n\n".to_vec();
+    input.extend(std::iter::repeat_n(b'x', MAX_REQUEST_LINE_BYTES + 1));
+    input.extend_from_slice(b"\n{\"op\":\"ping\",\"request_id\":\"s-2\"}");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    // Written from a thread, and closed when it is done: the daemon
+    // answers while the input is still arriving.
+    let writer = std::thread::spawn(move || stdin.write_all(&input));
+    let output = child.wait_with_output().expect("daemon exits");
+    writer.join().expect("writer thread").expect("write stdin");
+    assert!(output.status.success(), "exit status: {:?}", output.status);
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 replies");
+    let replies: Vec<&str> = stdout.lines().collect();
+    assert_eq!(replies.len(), 3, "{stdout}");
+    assert_eq!(replies[0], r#"{"ok":true,"op":"pong","request_id":"s-1"}"#);
+    assert!(
+        replies[1].starts_with(r#"{"ok":false"#) && replies[1].contains("exceeds"),
+        "{}",
+        replies[1]
+    );
+    assert_eq!(replies[2], r#"{"ok":true,"op":"pong","request_id":"s-2"}"#);
+}
+
 #[test]
 fn malformed_lines_do_not_poison_the_connection() {
-    let server = TcpServer::spawn(test_service(1, 4), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(test_service(1, 4), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr());
     let bad = client.request("{\"op\":\"compile\"}");
     assert_eq!(bad.get("ok"), Some(&Value::Bool(false)));

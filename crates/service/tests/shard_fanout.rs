@@ -12,10 +12,13 @@
 //!   fraction is close to `1/N`, not `(N-1)/N` as naive `hash % N`
 //!   routing would give;
 //! * aggregated `stats` over a fleet equals the field-wise sum of the
-//!   per-shard `stats` responses.
+//!   per-shard `stats` responses;
+//! * `qpilot-router` refuses flags it does not understand.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
@@ -23,7 +26,7 @@ use qpilot_circuit::{Fingerprint, StableHasher};
 use qpilot_core::json::{self, Value};
 use qpilot_service::protocol::{circuit_to_value_json, compile_request_line};
 use qpilot_service::shard::{aggregate_stats, merge_expositions, ShardRing};
-use qpilot_service::{Service, ServiceConfig, TcpServer};
+use qpilot_service::{serve_tcp, ReactorOptions, ReactorServer, Service, ServiceConfig};
 use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
 
 /// A deterministic fingerprint per seed, shaped like the compile
@@ -122,7 +125,7 @@ proptest! {
 }
 
 struct Shard {
-    server: TcpServer,
+    server: ReactorServer,
     addr: SocketAddr,
 }
 
@@ -134,7 +137,8 @@ fn spawn_shard() -> Shard {
         cache_shards: 4,
         ..ServiceConfig::default()
     });
-    let server = TcpServer::spawn(service, "127.0.0.1:0").expect("bind loopback shard");
+    let server =
+        serve_tcp(service, "127.0.0.1:0", ReactorOptions::default()).expect("bind loopback shard");
     let addr = server.local_addr();
     Shard { server, addr }
 }
@@ -268,4 +272,47 @@ fn idle_shard_quantiles_do_not_skew_the_fleet_percentiles() {
         all_idle.contains("qpilot_request_seconds_count{path=\"hit\"} 0"),
         "{all_idle}"
     );
+}
+
+/// `qpilot-router` stops with exit 2 naming the flag when it meets a
+/// flag it does not know or a number it cannot parse, instead of
+/// serving with a default the operator did not ask for.
+#[test]
+fn router_binary_rejects_unknown_and_malformed_flags() {
+    for (args, flag) in [
+        (["--shard-timeout-ms", "10s"], "--shard-timeout-ms"),
+        (["--listne", "127.0.0.1:0"], "--listne"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_qpilot-router"))
+            .args(["--shards", "127.0.0.1:9", "--listen", "127.0.0.1:0"])
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn qpilot-router");
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll qpilot-router") {
+                break Some(status);
+            }
+            if Instant::now() >= give_up {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        let _ = child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr);
+        assert_eq!(
+            status.and_then(|s| s.code()),
+            Some(2),
+            "{args:?} did not stop the router: {stderr}"
+        );
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
 }

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use qpilot_core::json::{self, Value};
-use qpilot_service::{ServerOptions, Service, ServiceConfig, TcpServer, MAX_REQUEST_LINE_BYTES};
+use qpilot_service::{serve_tcp, ReactorOptions, Service, ServiceConfig, MAX_REQUEST_LINE_BYTES};
 
 fn torture_service() -> Service {
     Service::new(ServiceConfig {
@@ -153,7 +153,7 @@ proptest! {
     /// well-formed request afterwards.
     #[test]
     fn every_line_gets_one_valid_json_response(lines in prop::collection::vec(arb_line(), 1..8)) {
-        let server = TcpServer::spawn(torture_service(), "127.0.0.1:0").unwrap();
+        let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
         let mut client = Client::connect(server.local_addr());
         for line in &lines {
             if line.trim().is_empty() {
@@ -181,7 +181,7 @@ proptest! {
 /// the shared worker pool survives.
 #[test]
 fn interleaved_garbage_and_compiles_across_connections() {
-    let server = TcpServer::spawn(torture_service(), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let addr = server.local_addr();
     let handles: Vec<_> = (0..8)
         .map(|i| {
@@ -215,7 +215,7 @@ fn interleaved_garbage_and_compiles_across_connections() {
 /// with an error, and the same connection keeps working.
 #[test]
 fn oversized_request_line_is_rejected_not_fatal() {
-    let server = TcpServer::spawn(torture_service(), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let mut client = Client::connect(server.local_addr());
     // A syntactically valid JSON request that is simply too large.
     let mut line = String::with_capacity(MAX_REQUEST_LINE_BYTES + 64);
@@ -232,10 +232,35 @@ fn oversized_request_line_is_rejected_not_fatal() {
     server.shutdown();
 }
 
+/// Parsing is linear: a ping padded with a string to just under the
+/// line cap is answered within 1 s, not after minutes of parser CPU.
+#[test]
+fn a_string_line_just_under_the_cap_is_answered_within_1_s() {
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr());
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set a read timeout");
+    let (head, tail) = (r#"{"op":"ping","pad":""#, r#""}"#);
+    let pad = "x".repeat(MAX_REQUEST_LINE_BYTES - 64 - head.len() - tail.len());
+    let line = format!("{head}{pad}{tail}");
+    let started = Instant::now();
+    let response = client.request(&line);
+    let elapsed = started.elapsed();
+    assert!(response.contains("pong"), "{response}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "answered after {elapsed:?}"
+    );
+    server.shutdown();
+}
+
 /// A client that dies mid-line must not take anything with it.
 #[test]
 fn client_disconnect_mid_line_leaves_daemon_healthy() {
-    let server = TcpServer::spawn(torture_service(), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let addr = server.local_addr();
     {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -258,10 +283,10 @@ fn client_disconnect_mid_line_leaves_daemon_healthy() {
 /// the daemon stays healthy for everyone else.
 #[test]
 fn slow_loris_trickle_is_cut_off_at_the_line_deadline() {
-    let options = ServerOptions {
+    let options = ReactorOptions {
         line_deadline: Duration::from_millis(400),
     };
-    let server = TcpServer::spawn_with(torture_service(), "127.0.0.1:0", options).unwrap();
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", options).unwrap();
     let addr = server.local_addr();
     // Trickling but finishing in time: still served.
     {
@@ -304,7 +329,7 @@ fn slow_loris_trickle_is_cut_off_at_the_line_deadline() {
 /// Raw non-UTF-8 bytes become an error response, not a dead socket.
 #[test]
 fn binary_junk_is_answered() {
-    let server = TcpServer::spawn(torture_service(), "127.0.0.1:0").unwrap();
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
     let addr = server.local_addr();
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.write_all(&[0xFF, 0xC0, 0x80, 0xFE, b'\n']).unwrap();

@@ -10,7 +10,7 @@ use std::net::TcpStream;
 use qpilot::circuit::Circuit;
 use qpilot::core::wire::schedule_from_json;
 use qpilot::service::protocol::{circuit_to_value_json, compile_request_line};
-use qpilot::service::{CompileRequest, Service, ServiceConfig, TcpServer};
+use qpilot::service::{serve_tcp, CompileRequest, ReactorOptions, Service, ServiceConfig};
 
 fn main() {
     // A service with two workers and the default cache.
@@ -49,7 +49,8 @@ fn main() {
 
     // The same service over TCP: what `qpilotd` serves and `qpilot-cli`
     // speaks, on an ephemeral loopback port.
-    let server = TcpServer::spawn(service, "127.0.0.1:0").expect("bind loopback");
+    let server =
+        serve_tcp(service, "127.0.0.1:0", ReactorOptions::default()).expect("bind loopback");
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
