@@ -308,6 +308,10 @@ impl<'a> Parser<'a> {
 fn statements(source: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     let mut current = String::new();
+    // Whether `current` is all whitespace, kept per piece: trimming
+    // `current` for every piece would rescan it, quadratic in the blank
+    // lines a statement spans.
+    let mut blank = true;
     let mut start_line = 1;
     for (i, raw_line) in source.lines().enumerate() {
         let line = match raw_line.find("//") {
@@ -315,7 +319,7 @@ fn statements(source: &str) -> Vec<(usize, String)> {
             None => raw_line,
         };
         for piece in line.split_inclusive(';') {
-            if current.trim().is_empty() {
+            if blank {
                 start_line = i + 1;
             }
             if let Some(body) = piece.strip_suffix(';') {
@@ -325,9 +329,11 @@ fn statements(source: &str) -> Vec<(usize, String)> {
                     out.push((start_line, stmt));
                 }
                 current.clear();
+                blank = true;
             } else {
                 current.push_str(piece);
                 current.push(' ');
+                blank &= piece.trim().is_empty();
             }
         }
     }
@@ -529,5 +535,59 @@ mod tests {
         let c = Circuit::from_qasm(src).unwrap();
         assert_eq!(c.num_qubits(), 3);
         assert_eq!(c.len(), 2);
+    }
+
+    /// QASM arrives in request lines, so parse time must be linear:
+    /// doubling the blank lines between two statements, the blank lines
+    /// inside one statement, or the gate lines may cost at most 2.5×.
+    /// Each input grows until it takes at least 1 ms, and each side of a
+    /// round is the minimum of 5 interleaved timings. Other threads can
+    /// steal the CPU for a whole round, so a shape gets up to 10 rounds
+    /// to show one clean ratio; a quadratic splitter fails every round.
+    #[test]
+    fn doubling_the_input_at_most_doubles_parse_time() {
+        use std::time::{Duration, Instant};
+
+        fn time(src: &str) -> Duration {
+            let started = Instant::now();
+            std::hint::black_box(
+                Circuit::from_qasm(std::hint::black_box(src)).expect("valid QASM"),
+            );
+            started.elapsed()
+        }
+        let between = |n: usize| format!("qreg q[2];\n{}cz q[0], q[1];\n", " \n".repeat(n));
+        let inside = |n: usize| format!("qreg q[2];\ncz q[0],\n{}q[1];\n", " \n".repeat(n));
+        let gates = |n: usize| format!("qreg q[2];\n{}", "cz q[0], q[1];\n".repeat(n));
+        let shapes: [(&str, &dyn Fn(usize) -> String); 3] = [
+            ("blank lines between statements", &between),
+            ("one statement over blank lines", &inside),
+            ("gate lines", &gates),
+        ];
+        for (shape, build) in shapes {
+            let mut n = 1024;
+            while (0..3).map(|_| time(&build(n))).min() < Some(Duration::from_millis(1)) {
+                n *= 2;
+            }
+            let (small, large) = (build(n), build(2 * n));
+            let mut rounds = Vec::new();
+            while rounds.len() < 10 && rounds.last().is_none_or(|&(ratio, _, _)| ratio > 2.5) {
+                let (mut t_small, mut t_large) = (Duration::MAX, Duration::MAX);
+                for _ in 0..5 {
+                    t_small = t_small.min(time(&small));
+                    t_large = t_large.min(time(&large));
+                }
+                rounds.push((
+                    t_large.as_secs_f64() / t_small.as_secs_f64(),
+                    t_small,
+                    t_large,
+                ));
+            }
+            assert!(
+                rounds.last().is_some_and(|&(ratio, _, _)| ratio <= 2.5),
+                "{shape}: {} then {} bytes, (ratio, times) per round: {rounds:?}",
+                small.len(),
+                large.len()
+            );
+        }
     }
 }

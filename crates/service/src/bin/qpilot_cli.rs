@@ -62,13 +62,15 @@
 //!
 //! The full response line prints to stdout (with the schedule body
 //! elided when `--schedule-out` captures it). Exit code 0 iff the daemon
-//! answered `"ok":true`.
+//! answered `"ok":true`; an unknown flag, a flag missing its value or a
+//! malformed argument exits 2 naming it.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use qpilot_circuit::Circuit;
 use qpilot_core::json::{self, Value};
+use qpilot_service::flags::Flags;
 use qpilot_service::protocol::{
     circuit_to_value_json, compile_request_line, qaoa_request_line, qec_request_line,
     qsim_request_line, QEC_DEFAULT_THETA,
@@ -106,29 +108,47 @@ fn install_watch_sigint_handler() {
     }
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+/// The flags that take a value, for every operation.
+const VALUE_FLAGS: [&str; 22] = [
+    "--connect",
+    "--shards",
+    "--watch",
+    "--router",
+    "--qasm",
+    "--random",
+    "--bv",
+    "--strings",
+    "--theta",
+    "--max-copies",
+    "--graph",
+    "--edges",
+    "--qubits",
+    "--gamma",
+    "--beta",
+    "--anchors",
+    "--distance",
+    "--rounds",
+    "--cols",
+    "--stage-cap",
+    "--deadline-ms",
+    "--schedule-out",
+];
 
-fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+/// The flags that stand alone.
+const SWITCHES: [&str; 3] = ["--no-schedule", "--no-column-extension", "--serial"];
 
 fn fail(message: &str) -> ! {
     eprintln!("qpilot-cli: {message}");
     std::process::exit(2);
 }
 
-fn load_circuit() -> Circuit {
+fn load_circuit(flags: &Flags) -> Circuit {
     let sources = [
-        arg_value("--qasm").map(|f| ("qasm", f)),
-        arg_value("--random").map(|f| ("random", f)),
-        arg_value("--bv").map(|f| ("bv", f)),
+        flags.value("--qasm").map(|f| ("qasm", f)),
+        flags.value("--random").map(|f| ("random", f)),
+        flags.value("--bv").map(|f| ("bv", f)),
     ];
-    let mut chosen: Vec<(&str, String)> = sources.into_iter().flatten().collect();
+    let mut chosen: Vec<(&str, &str)> = sources.into_iter().flatten().collect();
     if chosen.len() != 1 {
         fail("give exactly one of --qasm FILE, --random N,FACTOR,SEED, --bv N[,SEED]");
     }
@@ -142,7 +162,7 @@ fn load_circuit() -> Circuit {
                 }
                 buf
             } else {
-                match std::fs::read_to_string(&spec) {
+                match std::fs::read_to_string(spec) {
                     Ok(s) => s,
                     Err(e) => fail(&format!("cannot read {spec}: {e}")),
                 }
@@ -180,15 +200,15 @@ fn load_circuit() -> Circuit {
     }
 }
 
-fn parse_opt_usize(flag: &str) -> Option<usize> {
-    arg_value(flag).map(|v| match v.parse() {
+fn parse_opt_usize(flags: &Flags, flag: &str) -> Option<usize> {
+    flags.value(flag).map(|v| match v.parse() {
         Ok(n) => n,
         Err(_) => fail(&format!("{flag} needs a positive integer, got `{v}`")),
     })
 }
 
-fn parse_opt_f64(flag: &str, default: f64) -> f64 {
-    match arg_value(flag) {
+fn parse_opt_f64(flags: &Flags, flag: &str, default: f64) -> f64 {
+    match flags.value(flag) {
         None => default,
         Some(v) => match v.parse() {
             Ok(x) => x,
@@ -198,16 +218,17 @@ fn parse_opt_f64(flag: &str, default: f64) -> f64 {
 }
 
 /// Parses the optional `--deadline-ms` client deadline.
-fn parse_deadline_ms() -> Option<u64> {
-    arg_value("--deadline-ms").map(|v| match v.parse() {
+fn parse_deadline_ms(flags: &Flags) -> Option<u64> {
+    flags.value("--deadline-ms").map(|v| match v.parse() {
         Ok(n) => n,
         Err(_) => fail(&format!("--deadline-ms needs an integer, got `{v}`")),
     })
 }
 
 /// Builds the qsim compile line from `--strings`/`--theta`.
-fn qsim_request(cols: Option<usize>, include_schedule: bool) -> String {
-    let spec = arg_value("--strings")
+fn qsim_request(flags: &Flags, cols: Option<usize>, include_schedule: bool) -> String {
+    let spec = flags
+        .value("--strings")
         .unwrap_or_else(|| fail("--router qsim needs --strings S1,S2,… (e.g. ZZII,IXXI)"));
     let strings: Vec<String> = spec
         .split(',')
@@ -217,21 +238,21 @@ fn qsim_request(cols: Option<usize>, include_schedule: bool) -> String {
     if strings.is_empty() {
         fail("--strings needs at least one Pauli string");
     }
-    let theta = parse_opt_f64("--theta", 0.5);
+    let theta = parse_opt_f64(flags, "--theta", 0.5);
     qsim_request_line(
         &strings,
         theta,
-        parse_opt_usize("--max-copies"),
+        parse_opt_usize(flags, "--max-copies"),
         cols,
-        parse_deadline_ms(),
+        parse_deadline_ms(flags),
         include_schedule,
     )
 }
 
 /// Builds the qaoa compile line from `--graph` or `--edges`/`--qubits`.
-fn qaoa_request(cols: Option<usize>, include_schedule: bool) -> String {
-    let (qubits, edges): (u32, Vec<(u32, u32)>) = match (arg_value("--graph"), arg_value("--edges"))
-    {
+fn qaoa_request(flags: &Flags, cols: Option<usize>, include_schedule: bool) -> String {
+    let (graph, edge_list) = (flags.value("--graph"), flags.value("--edges"));
+    let (qubits, edges): (u32, Vec<(u32, u32)>) = match (graph, edge_list) {
         (Some(_), Some(_)) => fail("give either --graph or --edges, not both"),
         (Some(spec), None) => {
             let parts: Vec<&str> = spec.split(',').map(str::trim).collect();
@@ -249,7 +270,7 @@ fn qaoa_request(cols: Option<usize>, include_schedule: bool) -> String {
             (n, graph.edges().to_vec())
         }
         (None, Some(spec)) => {
-            let qubits = parse_opt_usize("--qubits")
+            let qubits = parse_opt_usize(flags, "--qubits")
                 .unwrap_or_else(|| fail("--edges requires --qubits N"))
                 as u32;
             let edges: Vec<(u32, u32)> = spec
@@ -270,30 +291,32 @@ fn qaoa_request(cols: Option<usize>, include_schedule: bool) -> String {
         }
         (None, None) => fail("--router qaoa needs --graph N,P,SEED or --edges \"0-1,…\""),
     };
-    let gammas = [parse_opt_f64("--gamma", 0.7)];
-    let betas: Vec<f64> = arg_value("--beta")
+    let gammas = [parse_opt_f64(flags, "--gamma", 0.7)];
+    let betas: Vec<f64> = flags
+        .value("--beta")
         .map(|v| match v.parse() {
             Ok(b) => vec![b],
             Err(_) => fail(&format!("--beta needs a number, got `{v}`")),
         })
         .unwrap_or_default();
-    let column_extension = has_flag("--no-column-extension").then_some(false);
+    let column_extension = flags.switch("--no-column-extension").then_some(false);
     qaoa_request_line(
         qubits,
         &edges,
         &gammas,
         &betas,
-        parse_opt_usize("--anchors"),
+        parse_opt_usize(flags, "--anchors"),
         column_extension,
         cols,
-        parse_deadline_ms(),
+        parse_deadline_ms(flags),
         include_schedule,
     )
 }
 
 /// Builds the qec compile line from `--distance`/`--rounds`/`--theta`.
-fn qec_request(cols: Option<usize>, include_schedule: bool) -> String {
-    let distance = arg_value("--distance")
+fn qec_request(flags: &Flags, cols: Option<usize>, include_schedule: bool) -> String {
+    let distance = flags
+        .value("--distance")
         .unwrap_or_else(|| fail("--router qec needs --distance D (surface-code distance >= 2)"));
     let distance: u32 = match distance.parse() {
         Ok(d) if d >= 2 => d,
@@ -301,19 +324,19 @@ fn qec_request(cols: Option<usize>, include_schedule: bool) -> String {
             "--distance needs an integer >= 2, got `{distance}`"
         )),
     };
-    let rounds = parse_opt_usize("--rounds").unwrap_or(1);
+    let rounds = parse_opt_usize(flags, "--rounds").unwrap_or(1);
     if rounds == 0 {
         fail("--rounds needs a positive integer");
     }
-    let theta = parse_opt_f64("--theta", QEC_DEFAULT_THETA);
-    let parallel_waves = has_flag("--serial").then_some(false);
+    let theta = parse_opt_f64(flags, "--theta", QEC_DEFAULT_THETA);
+    let parallel_waves = flags.switch("--serial").then_some(false);
     qec_request_line(
         distance,
         rounds as u32,
         theta,
         parallel_waves,
         cols,
-        parse_deadline_ms(),
+        parse_deadline_ms(flags),
         include_schedule,
     )
 }
@@ -343,10 +366,10 @@ enum Target {
 }
 
 impl Target {
-    fn from_args() -> Target {
-        match arg_value("--shards") {
+    fn from_flags(flags: &Flags) -> Target {
+        match flags.value("--shards") {
             None => Target::Single(resolve(
-                &arg_value("--connect").unwrap_or_else(|| "127.0.0.1:7878".to_string()),
+                flags.value("--connect").unwrap_or("127.0.0.1:7878"),
             )),
             Some(spec) => {
                 let addrs: Vec<String> = spec
@@ -526,9 +549,15 @@ fn main() {
     let op = std::env::args().nth(1).unwrap_or_else(|| {
         fail("usage: qpilot-cli <ping|stats|store-stats|metrics|shutdown|compile> [options]")
     });
-    let target = Target::from_args();
+    let flags = Flags::parse(
+        "qpilot-cli",
+        std::env::args().skip(2),
+        &VALUE_FLAGS,
+        &SWITCHES,
+    );
+    let target = Target::from_flags(&flags);
     if op == "stats" {
-        if let Some(every) = arg_value("--watch") {
+        if let Some(every) = flags.value("--watch") {
             let every_s: u64 = every
                 .parse()
                 .unwrap_or_else(|_| fail(&format!("--watch needs an integer, got `{every}`")));
@@ -542,39 +571,40 @@ fn main() {
         "metrics" => "{\"op\":\"metrics\"}".to_string(),
         "shutdown" => "{\"op\":\"shutdown\"}".to_string(),
         "compile" => {
-            let cols = parse_opt_usize("--cols");
-            let include_schedule = !has_flag("--no-schedule");
-            let router = arg_value("--router").unwrap_or_else(|| "generic".to_string());
+            let cols = parse_opt_usize(&flags, "--cols");
+            let include_schedule = !flags.switch("--no-schedule");
+            let router = flags.value("--router").unwrap_or("generic");
             // `auto` mirrors the daemon's field sniffing: infer the
             // router from which workload flags are present.
-            let router = match router.as_str() {
+            let router = match router {
                 "auto" => {
-                    if arg_value("--strings").is_some() {
-                        "qsim".to_string()
-                    } else if arg_value("--graph").is_some() || arg_value("--edges").is_some() {
-                        "qaoa".to_string()
-                    } else if arg_value("--distance").is_some() {
-                        "qec".to_string()
+                    let given = |flag| flags.value(flag).is_some();
+                    if given("--strings") {
+                        "qsim"
+                    } else if given("--graph") || given("--edges") {
+                        "qaoa"
+                    } else if given("--distance") {
+                        "qec"
                     } else {
-                        "generic".to_string()
+                        "generic"
                     }
                 }
                 _ => router,
             };
-            match router.as_str() {
+            match router {
                 "generic" => {
-                    let circuit = load_circuit();
+                    let circuit = load_circuit(&flags);
                     compile_request_line(
                         &circuit_to_value_json(&circuit),
                         cols,
-                        parse_opt_usize("--stage-cap"),
-                        parse_deadline_ms(),
+                        parse_opt_usize(&flags, "--stage-cap"),
+                        parse_deadline_ms(&flags),
                         include_schedule,
                     )
                 }
-                "qsim" => qsim_request(cols, include_schedule),
-                "qaoa" => qaoa_request(cols, include_schedule),
-                "qec" => qec_request(cols, include_schedule),
+                "qsim" => qsim_request(&flags, cols, include_schedule),
+                "qaoa" => qaoa_request(&flags, cols, include_schedule),
+                "qec" => qec_request(&flags, cols, include_schedule),
                 other => fail(&format!(
                     "unknown router `{other}` (auto|generic|qsim|qaoa|qec)"
                 )),
@@ -601,12 +631,12 @@ fn main() {
         std::process::exit(0);
     }
 
-    if let Some(path) = arg_value("--schedule-out") {
+    if let Some(path) = flags.value("--schedule-out") {
         match doc.get("schedule") {
             Some(schedule) => {
                 // Canonical re-serialisation: byte-identical to the
                 // daemon's cached schedule JSON.
-                if let Err(e) = std::fs::write(&path, schedule.to_json()) {
+                if let Err(e) = std::fs::write(path, schedule.to_json()) {
                     fail(&format!("cannot write {path}: {e}"));
                 }
                 // Print the response without the (potentially huge) body.

@@ -161,7 +161,7 @@ impl ShardPool {
 }
 
 fn main() {
-    let flags = Flags::parse("qpilot-router", &VALUE_FLAGS, &[]);
+    let flags = Flags::parse("qpilot-router", std::env::args().skip(1), &VALUE_FLAGS, &[]);
     let Some(shards) = flags.value("--shards") else {
         eprintln!("qpilot-router: --shards ADDR1,ADDR2[,...] is required");
         std::process::exit(2);

@@ -31,8 +31,8 @@
 //!
 //! On `SIGTERM` the daemon drains: it stops accepting connections,
 //! answers every request already received (cache hits keep being
-//! served; new misses get a `shutting down` error), flushes the store
-//! index, and exits 0 — or 1 if the `--drain-ms` budget lapses first.
+//! served; new misses get a `shutting down` error), and exits 0 — or 1
+//! if the `--drain-ms` budget lapses first.
 //! A second `SIGTERM` forces an immediate exit.
 //!
 //! Fault injection (testing only): `--faults SPEC` or the
@@ -145,7 +145,6 @@ fn drain_and_exit(server: &ReactorServer, service: &Service, budget: Duration) -
             break;
         }
     }
-    service.flush_store();
     if clean {
         eprintln!("qpilotd: drain complete, exiting");
         std::process::exit(0);
@@ -155,7 +154,7 @@ fn drain_and_exit(server: &ReactorServer, service: &Service, budget: Duration) -
 }
 
 fn main() {
-    let flags = Flags::parse("qpilotd", &VALUE_FLAGS, &SWITCHES);
+    let flags = Flags::parse("qpilotd", std::env::args().skip(1), &VALUE_FLAGS, &SWITCHES);
     // JSON event logs: the flag wins; `QPILOT_LOG=json` works for
     // wrappers that cannot alter the argv.
     let log_json =
@@ -201,7 +200,6 @@ fn main() {
             eprintln!("qpilotd: stdio transport failed: {e}");
             std::process::exit(1);
         }
-        service.flush_store();
         return;
     }
     install_sigterm_handler();
@@ -246,6 +244,5 @@ fn main() {
         }
         std::thread::sleep(Duration::from_millis(30));
     }
-    service.flush_store();
     println!("qpilotd: shutdown requested, exiting");
 }

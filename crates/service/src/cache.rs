@@ -30,7 +30,9 @@ pub struct CacheEntry {
     /// The schedule's aggregate statistics.
     pub stats: ScheduleStats,
     /// Wall-clock seconds the original compilation took (compile +
-    /// serialise), echoed on hits so clients can see what they saved.
+    /// serialise), echoed on hits so clients can see what they saved;
+    /// 0 for an entry recovered from the persistent store, whose blob
+    /// does not record it.
     pub compile_s: f64,
 }
 

@@ -1,13 +1,14 @@
-//! Command-line flags of the `qpilotd` and `qpilot-router` daemons.
+//! Command-line flags of the `qpilotd` and `qpilot-router` daemons and
+//! the `qpilot-cli` client.
 //!
-//! A daemon must not run with a setting its operator did not ask for:
+//! A program must not run with a setting its operator did not ask for:
 //! an unknown flag, a value flag without its value, or a number that
-//! does not parse stops the daemon with exit status 2 and a message
-//! naming the flag.
+//! does not parse stops it with exit status 2 and a message naming the
+//! flag.
 
 use std::str::FromStr;
 
-/// A daemon's command line, checked against the flags it knows.
+/// A command line, checked against the flags its program knows.
 pub struct Flags {
     program: &'static str,
     /// `(flag, value)` in command-line order; switches carry no value.
@@ -15,12 +16,18 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Reads the process arguments: each of `value_flags` takes the
-    /// argument after it as its value, and each of `switches` stands
-    /// alone. Exits 2 on any other argument, or on a value flag at the
-    /// end of the command line.
-    pub fn parse(program: &'static str, value_flags: &[&str], switches: &[&str]) -> Flags {
-        let mut args = std::env::args().skip(1);
+    /// Reads `args` (the process arguments after the program name, and
+    /// for `qpilot-cli` after the operation word): each of `value_flags`
+    /// takes the argument after it as its value, and each of `switches`
+    /// stands alone. Exits 2 on any other argument, or on a value flag
+    /// at the end of the command line.
+    pub fn parse(
+        program: &'static str,
+        args: impl IntoIterator<Item = String>,
+        value_flags: &[&str],
+        switches: &[&str],
+    ) -> Flags {
+        let mut args = args.into_iter();
         let mut given = Vec::new();
         while let Some(arg) = args.next() {
             if value_flags.contains(&arg.as_str()) {
@@ -69,7 +76,7 @@ impl Flags {
     }
 }
 
-/// A command-line error: the daemon exits 2 before anything starts.
+/// A command-line error: the program exits 2 before anything starts.
 fn usage_error(program: &str, message: &str) -> ! {
     eprintln!("{program}: {message}");
     std::process::exit(2);

@@ -34,7 +34,8 @@
 //!
 //! With `ServiceConfig::store_dir` set, the cache is mirrored to disk as
 //! fingerprint-named blobs of the canonical schedule JSON; a restarted
-//! service recovers its working set (in recency order) before serving.
+//! service recovers its working set (oldest blob first, by modification
+//! time) before serving.
 //!
 //! # Fault tolerance
 //!
@@ -371,24 +372,20 @@ pub struct ServiceStats {
 pub struct StoreStats {
     /// `true` when the service runs with a persistent store.
     pub configured: bool,
-    /// The startup recovery report (blobs loaded / discarded / adopted).
+    /// The startup recovery report (blobs loaded / discarded).
     pub recovery: RecoveryReport,
     /// Schedules spilled to disk since startup.
     pub persisted: u64,
     /// Blobs unlinked by cache evictions since startup.
     pub removed: u64,
-    /// Blobs currently tracked by the store index — the true on-disk
-    /// mirror size (failed writes are never indexed, so this can trail
-    /// the in-memory cache).
+    /// Blobs currently tracked by the store — the true on-disk mirror
+    /// size (failed writes are never tracked, so this can trail the
+    /// in-memory cache).
     pub entries: u64,
-    /// Bytes currently tracked by the store index.
+    /// Bytes of the blobs the store tracks.
     pub bytes: u64,
     /// Blobs evicted to honour the byte budget (`--store-max-bytes`).
     pub size_evictions: u64,
-    /// Journal lines appended since the last index snapshot.
-    pub journal_lines: u64,
-    /// Index compactions performed (recovery writes one).
-    pub compactions: u64,
 }
 
 type Reply = mpsc::Sender<Result<CompileResponse, ServiceError>>;
@@ -490,13 +487,6 @@ impl WorkerCtx {
             if let Some(evicted) = evicted {
                 store.remove(&evicted);
             }
-            // Incremental index maintenance: once the journal crosses
-            // its threshold, exactly one worker kicks off a background
-            // compaction; the claim keeps concurrent workers out.
-            if store.try_begin_compaction() {
-                let store = Arc::clone(store);
-                std::thread::spawn(move || store.compact_now());
-            }
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         self.latencies.observe(elapsed);
@@ -567,13 +557,12 @@ impl Service {
                 let options = StoreOptions {
                     max_bytes: config.store_max_bytes,
                     faults: Arc::clone(&faults),
-                    ..StoreOptions::default()
                 };
                 let (store, recovered) = ScheduleStore::open_with(dir, options)?;
                 let loaded = recovered.len() as u64;
                 // Replay oldest-first so in-memory recency matches the
-                // index; capacity overflow evicts (and unlinks) the
-                // oldest blobs.
+                // blobs' write order; capacity overflow evicts (and
+                // unlinks) the oldest blobs.
                 for rec in recovered {
                     if let Some(evicted) = cache.insert(rec.fingerprint, rec.entry) {
                         store.remove(&evicted);
@@ -910,15 +899,6 @@ impl Service {
         }
     }
 
-    /// Flushes the persistent store: compacts the index snapshot (and
-    /// truncates the journal) so a restart recovers without replay. A
-    /// no-op without a store.
-    pub fn flush_store(&self) {
-        if let Some(store) = &self.shared.ctx.store {
-            store.compact_now();
-        }
-    }
-
     /// A persistent-store snapshot for the `store-stats` protocol op:
     /// the startup recovery report plus lifetime persist/unlink
     /// counters. `configured` is `false` (all counters zero) when the
@@ -935,8 +915,6 @@ impl Service {
                 entries: store.len(),
                 bytes: store.bytes(),
                 size_evictions: store.size_evicted(),
-                journal_lines: store.journal_lines(),
-                compactions: store.compactions(),
             },
         }
     }

@@ -21,7 +21,7 @@
 //!
 //! -> {"op":"store-stats"}
 //! <- {"ok":true,"op":"store-stats","configured":true,"loaded":3,
-//!     "adopted":0,"discarded":1,"persisted":2,"removed":0,"entries":5}
+//!     "discarded":1,"persisted":2,"removed":0,"entries":5}
 //!
 //! -> {"op":"metrics"}
 //! <- {"ok":true,"op":"metrics","request_id":"r-1","content_type":
@@ -63,7 +63,8 @@
 //! Shared `compile` options: `"cols"` (SLM columns; default square),
 //! `"schedule":false` to omit the schedule body (fingerprint + stats
 //! only — useful for warming), `"deadline_ms"` (client deadline; the
-//! daemon's `--max-compile-ms` caps it). The `"cache"` response field is
+//! daemon's `--max-compile-ms` caps it). Every size a request names is
+//! capped by [`MAX_WIRE_QUBITS`]. The `"cache"` response field is
 //! `"miss"`, `"hit"`, or `"coalesced"` (attached to a concurrent
 //! identical compile). Errors come back as `{"ok":false,"error":"…"}`
 //! and never tear down the connection; the `"retry"` flag marks
@@ -110,6 +111,23 @@ pub enum Request {
 
 /// Upper bound on a client-supplied `request_id`.
 pub const MAX_REQUEST_ID_BYTES: usize = 128;
+
+/// Upper bound on every size a compile request names: `num_qubits`
+/// (and a QASM `qreg`), qaoa `qubits` and `anchors`, `cols`, and for
+/// qec `distance²` and `distance² × rounds`. A few bytes naming a larger
+/// size would have the fingerprint or a router allocate gigabytes.
+pub const MAX_WIRE_QUBITS: u64 = 65_536;
+
+/// Rejects a size over [`MAX_WIRE_QUBITS`], naming the field that
+/// implies it.
+fn within_wire_limit(field: &str, size: u64) -> Result<(), String> {
+    if size > MAX_WIRE_QUBITS {
+        return Err(format!(
+            "`{field}` implies a size of {size}, over the limit of {MAX_WIRE_QUBITS}"
+        ));
+    }
+    Ok(())
+}
 
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -180,6 +198,7 @@ fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request,
                 RouterTag::Auto => unreachable!("auto resolved above"),
             };
             let cols = opt_positive(doc, "cols")?;
+            within_wire_limit("cols", cols.unwrap_or(0) as u64)?;
             let include_schedule = match doc.get("schedule") {
                 None => true,
                 Some(v) => v.as_bool().ok_or("`schedule` must be a boolean")?,
@@ -361,6 +380,7 @@ fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
         .and_then(Value::as_u32)
         .filter(|&n| n > 0)
         .ok_or("qaoa compile needs a positive integer `qubits`")?;
+    within_wire_limit("qubits", u64::from(num_qubits))?;
     let edges_arr = doc
         .get("edges")
         .and_then(Value::as_arr)
@@ -387,8 +407,10 @@ fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
         None | Some(Value::Null) => None,
         Some(v) => Some(v.as_bool().ok_or("`column_extension` must be a boolean")?),
     };
+    let anchor_candidates = opt_positive(doc, "anchors")?;
+    within_wire_limit("anchors", anchor_candidates.unwrap_or(0) as u64)?;
     let qaoa_options = QaoaOptions {
-        anchor_candidates: opt_positive(doc, "anchors")?,
+        anchor_candidates,
         column_extension,
     };
     let options =
@@ -423,6 +445,9 @@ fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
             .filter(|&r| r > 0)
             .ok_or("`rounds` must be a positive integer")?,
     };
+    let checks = u64::from(distance) * u64::from(distance);
+    within_wire_limit("distance", checks)?;
+    within_wire_limit("rounds", checks * u64::from(rounds))?;
     let theta = match doc.get("theta") {
         None | Some(Value::Null) => QEC_DEFAULT_THETA,
         Some(v) => v.as_f64().ok_or("`theta` must be a number")?,
@@ -442,15 +467,17 @@ fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
 /// Extracts the circuit from a compile request: either an inline
 /// `"circuit"` object or a `"qasm"` source string (exactly one).
 fn circuit_from_request(doc: &Value) -> Result<Circuit, String> {
-    match (doc.get("circuit"), doc.get("qasm")) {
-        (Some(_), Some(_)) => Err("give either `circuit` or `qasm`, not both".into()),
-        (Some(c), None) => circuit_from_value(c),
+    let (field, circuit) = match (doc.get("circuit"), doc.get("qasm")) {
+        (Some(_), Some(_)) => return Err("give either `circuit` or `qasm`, not both".into()),
+        (Some(c), None) => ("num_qubits", circuit_from_value(c)?),
         (None, Some(q)) => {
             let src = q.as_str().ok_or("`qasm` must be a string")?;
-            Circuit::from_qasm(src).map_err(|e| e.to_string())
+            ("qasm", Circuit::from_qasm(src).map_err(|e| e.to_string())?)
         }
-        (None, None) => Err("compile needs a `circuit` object or `qasm` string".into()),
-    }
+        (None, None) => return Err("compile needs a `circuit` object or `qasm` string".into()),
+    };
+    within_wire_limit(field, u64::from(circuit.num_qubits()))?;
+    Ok(circuit)
 }
 
 /// Parses the wire circuit object `{"num_qubits":N,"gates":[…]}` (gates
@@ -775,7 +802,7 @@ pub fn render_metrics_response(service: &Service, request_id: &str) -> String {
 }
 
 /// Renders a store-stats response line: the startup recovery report
-/// (blobs loaded / adopted / discarded) plus lifetime persist/unlink
+/// (blobs loaded / discarded) plus lifetime persist/unlink
 /// counters. `configured` is `false` when the daemon runs without
 /// `--store` (all counters zero).
 pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> String {
@@ -786,8 +813,6 @@ pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> Stri
     out.push_str(if stats.configured { "true" } else { "false" });
     out.push_str(",\"loaded\":");
     out.push_str(&stats.recovery.loaded.to_string());
-    out.push_str(",\"adopted\":");
-    out.push_str(&stats.recovery.adopted.to_string());
     out.push_str(",\"discarded\":");
     out.push_str(&stats.recovery.discarded.to_string());
     out.push_str(",\"persisted\":");
@@ -800,10 +825,6 @@ pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> Stri
     out.push_str(&stats.bytes.to_string());
     out.push_str(",\"size_evictions\":");
     out.push_str(&stats.size_evictions.to_string());
-    out.push_str(",\"journal_lines\":");
-    out.push_str(&stats.journal_lines.to_string());
-    out.push_str(",\"compactions\":");
-    out.push_str(&stats.compactions.to_string());
     out.push('}');
     out
 }
@@ -1606,7 +1627,7 @@ mod tests {
         assert_eq!(doc.get("draining").and_then(Value::as_bool), Some(false));
         let store = handle_line(&svc, "{\"op\":\"store-stats\"}");
         let doc = json::parse(&store.response).unwrap();
-        for key in ["bytes", "size_evictions", "journal_lines", "compactions"] {
+        for key in ["bytes", "size_evictions"] {
             assert_eq!(doc.get(key).and_then(Value::as_u64), Some(0), "{key}");
         }
     }

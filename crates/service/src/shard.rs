@@ -389,15 +389,12 @@ pub fn aggregate_store_stats(lines: &[String], request_id: &str) -> Result<Strin
     });
     for key in [
         "loaded",
-        "adopted",
         "discarded",
         "persisted",
         "removed",
         "entries",
         "bytes",
         "size_evictions",
-        "journal_lines",
-        "compactions",
     ] {
         out.push_str(",\"");
         out.push_str(key);
@@ -689,8 +686,8 @@ mod tests {
 
     #[test]
     fn aggregate_store_stats_sums_counters() {
-        let a = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-1\",\"configured\":true,\"loaded\":2,\"adopted\":0,\"discarded\":0,\"persisted\":5,\"removed\":1,\"entries\":6,\"bytes\":600,\"size_evictions\":0,\"journal_lines\":7,\"compactions\":1}".to_string();
-        let b = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-2\",\"configured\":false,\"loaded\":0,\"adopted\":0,\"discarded\":0,\"persisted\":0,\"removed\":0,\"entries\":0,\"bytes\":0,\"size_evictions\":0,\"journal_lines\":0,\"compactions\":0}".to_string();
+        let a = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-1\",\"configured\":true,\"loaded\":2,\"discarded\":0,\"persisted\":5,\"removed\":1,\"entries\":6,\"bytes\":600,\"size_evictions\":0}".to_string();
+        let b = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-2\",\"configured\":false,\"loaded\":0,\"discarded\":0,\"persisted\":0,\"removed\":0,\"entries\":0,\"bytes\":0,\"size_evictions\":0}".to_string();
         let merged = aggregate_store_stats(&[a, b], "agg-2").unwrap();
         let doc = json::parse(&merged).unwrap();
         assert_eq!(doc.get("configured").and_then(Value::as_bool), Some(true));
@@ -822,7 +819,13 @@ mod tests {
 
     #[test]
     fn route_sends_ping_and_malformed_lines_to_the_first_shard() {
-        for line in [r#"{"op":"ping"}"#, "not json", r#"{"op":"warp"}"#] {
+        for line in [
+            r#"{"op":"ping"}"#,
+            "not json",
+            r#"{"op":"warp"}"#,
+            // Over the size limit: refused before it is fingerprinted.
+            r#"{"op":"compile","router":"qec","distance":65536}"#,
+        ] {
             let (handled, calls) = route_fake(line, None);
             assert_eq!(calls, vec![0], "{line}");
             assert_eq!(handled.response, fake_reply(0, line));

@@ -3,19 +3,16 @@
 //! The cache already holds the *canonical* `qpilot.schedule/v1` JSON, so
 //! persistence is a byte-for-byte spill: each entry becomes one blob file
 //! named by its request fingerprint (`<32 hex>.schedule.json`) whose
-//! content is exactly the cached `Arc<str>`. A small index file
-//! (`index.json`, schema `qpilot.store.index/v1`) records the entries in
-//! least→most recently inserted order plus the metadata the blob cannot
-//! carry (original compile seconds).
+//! content is exactly the cached `Arc<str>`. The directory of blobs is
+//! the whole store. The routers are deterministic, so a blob holds
+//! everything a compile produced except its original compile time, which
+//! a recovered entry reports as 0.
 //!
-//! Index maintenance is **incremental**: each insert/remove appends one
-//! line to a sidecar journal (`index.journal`) instead of rewriting the
-//! whole index, and once the journal passes a line threshold it is
-//! compacted — snapshot rewritten, journal truncated — off the write
-//! path (the worker that crossed the threshold spawns the compaction on
-//! a background thread via [`ScheduleStore::try_begin_compaction`]).
-//! Recovery reads the last snapshot and replays the journal over it; a
-//! torn final journal line (the crash shape) is skipped harmlessly.
+//! Recovery ([`ScheduleStore::open`]) replays the blobs oldest-first by
+//! file modification time, so an LRU cache refilled from them keeps the
+//! pre-restart write order. Modification times are only as fine as the
+//! filesystem keeps them: blobs written within one clock tick replay in
+//! fingerprint order.
 //!
 //! The store can also be **size-bounded** ([`StoreOptions::max_bytes`],
 //! `qpilotd --store-max-bytes`): on insert, the oldest blobs are evicted
@@ -23,69 +20,48 @@
 //! independent of the in-memory LRU capacity — the cache answers "what
 //! is hot", the byte budget answers "what fits on this disk".
 //!
-//! Crash safety is rename-based: blobs and the index are written to a
-//! `.tmp` sibling and atomically renamed into place, so a `SIGKILL`
-//! mid-write leaves either the old bytes, the new bytes, or a stray
-//! `.tmp` file — never a half-visible blob. Recovery ([`ScheduleStore::open`])
-//! is correspondingly tolerant:
+//! Crash safety is rename-based: a blob is written to a `.tmp` sibling
+//! and atomically renamed into place, so a `SIGKILL` mid-write leaves
+//! either the old bytes, the new bytes, or a stray `.tmp` file — never a
+//! half-visible blob. Recovery is correspondingly tolerant:
 //!
 //! * stray `*.tmp` files are deleted;
 //! * blobs are re-parsed with [`schedule_from_json`] before being trusted
 //!   — a corrupt or truncated blob is deleted and skipped, never fatal;
-//! * blobs on disk but missing from the index (a kill between blob rename
-//!   and index rewrite) are adopted with an unknown compile time;
-//! * index entries whose blob vanished are dropped.
+//! * any other file (such as the `index.{json,journal}` index snapshot
+//!   and journal an older version kept beside its blobs) is left alone.
 //!
 //! Schedule statistics are recomputed from the parsed schedule during
 //! recovery, so the blob alone is sufficient to rebuild a full
 //! [`CacheEntry`].
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 use qpilot_circuit::Fingerprint;
-use qpilot_core::json::{self, json_str, Value};
 use qpilot_core::wire::schedule_from_json;
 use qpilot_core::ScheduleStats;
 
 use crate::cache::CacheEntry;
 use crate::faults::Faults;
 
-/// Schema tag of the store index document.
-pub const STORE_INDEX_FORMAT: &str = "qpilot.store.index/v1";
-
 /// File-name suffix of schedule blobs.
 const BLOB_SUFFIX: &str = ".schedule.json";
 
-/// Sidecar journal of index mutations since the last snapshot.
-const JOURNAL_NAME: &str = "index.journal";
-
 /// Tuning and dependencies for [`ScheduleStore::open_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
     /// Evict oldest blobs on insert once tracked bytes exceed this
     /// budget (`None` = unbounded).
     pub max_bytes: Option<u64>,
-    /// Journal lines that trigger a compaction.
-    pub journal_threshold: u64,
     /// Armed fault-injection sites (disarmed by default).
     pub faults: Arc<Faults>,
 }
 
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            max_bytes: None,
-            journal_threshold: 512,
-            faults: Arc::new(Faults::default()),
-        }
-    }
-}
-
-/// One recovered entry, in index (recency) order.
+/// One recovered entry, oldest blob first.
 #[derive(Debug)]
 pub struct RecoveredEntry {
     /// The request fingerprint (blob name).
@@ -101,8 +77,6 @@ pub struct RecoveryReport {
     pub loaded: u64,
     /// Corrupt/truncated blobs (and stray `.tmp` files) removed.
     pub discarded: u64,
-    /// Blobs adopted from disk despite a missing/corrupt index entry.
-    pub adopted: u64,
 }
 
 /// A fingerprint-addressed on-disk mirror of the schedule cache.
@@ -110,59 +84,62 @@ pub struct RecoveryReport {
 pub struct ScheduleStore {
     dir: PathBuf,
     options: StoreOptions,
-    /// `fingerprint → compile_s`, in insertion (recency) order maintained
-    /// by a monotonic sequence number so the index file preserves LRU
-    /// order across restarts.
-    index: Mutex<IndexState>,
+    tracked: Mutex<Tracked>,
     persisted: AtomicU64,
     removed: AtomicU64,
     size_evicted: AtomicU64,
-    compactions: AtomicU64,
-    /// Guards against concurrent background compactions; see
-    /// [`ScheduleStore::try_begin_compaction`].
-    compacting: AtomicBool,
     recovery: RecoveryReport,
 }
 
+/// The in-memory bookkeeping the byte budget needs: every blob on disk
+/// with its write sequence number (oldest = lowest) and size.
 #[derive(Debug, Default)]
-struct IndexState {
-    entries: HashMap<Fingerprint, IndexEntry>,
+struct Tracked {
+    /// `fingerprint → (seq, bytes)`.
+    blobs: HashMap<Fingerprint, (u64, u64)>,
     next_seq: u64,
-    /// Sum of tracked blob sizes (the size-bound accounting).
+    /// Sum of tracked blob sizes.
     total_bytes: u64,
-    /// Journal lines appended since the last snapshot.
-    journal_lines: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    compile_s: f64,
-    seq: u64,
-    bytes: u64,
-}
+impl Tracked {
+    /// Tracks a blob as the newest, replacing any earlier row for it.
+    fn insert(&mut self, fingerprint: Fingerprint, bytes: u64) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Some((_, old)) = self.blobs.insert(fingerprint, (seq, bytes)) {
+            self.total_bytes -= old;
+        }
+        self.total_bytes += bytes;
+    }
 
-/// One replayed journal mutation.
-enum JournalOp {
-    Insert(Fingerprint, f64),
-    Remove(Fingerprint),
+    /// Stops tracking a blob; `false` when it was not tracked.
+    fn remove(&mut self, fingerprint: &Fingerprint) -> bool {
+        match self.blobs.remove(fingerprint) {
+            Some((_, bytes)) => {
+                self.total_bytes -= bytes;
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 impl ScheduleStore {
     /// Opens (creating if needed) the store directory and runs recovery.
     /// The recovered entries are returned oldest-first so replaying them
-    /// into an LRU cache reproduces the pre-restart recency order.
+    /// into an LRU cache reproduces the pre-restart write order.
     ///
     /// # Errors
     ///
     /// Only directory creation/listing failures are errors; damaged
-    /// content is repaired (deleted or adopted) and reported via
-    /// [`ScheduleStore::recovery`].
+    /// content is deleted and reported via [`ScheduleStore::recovery`].
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<(ScheduleStore, Vec<RecoveredEntry>)> {
         ScheduleStore::open_with(dir, StoreOptions::default())
     }
 
-    /// [`ScheduleStore::open`] with explicit size budget, journal
-    /// threshold, and fault sites.
+    /// [`ScheduleStore::open`] with an explicit size budget and fault
+    /// sites.
     ///
     /// # Errors
     ///
@@ -175,23 +152,7 @@ impl ScheduleStore {
         std::fs::create_dir_all(&dir)?;
         let mut report = RecoveryReport::default();
 
-        // The last snapshot gives recency order and compile times; the
-        // journal replays the mutations since. Absence or damage of
-        // either degrades to a plain directory scan.
-        let mut indexed = read_index(&dir.join("index.json"));
-        for op in read_journal(&dir.join(JOURNAL_NAME)) {
-            match op {
-                JournalOp::Insert(fp, compile_s) => {
-                    // Re-insert moves the row to the back (most recent).
-                    indexed.retain(|(i, _)| *i != fp);
-                    indexed.push((fp, compile_s));
-                }
-                JournalOp::Remove(fp) => indexed.retain(|(i, _)| *i != fp),
-            }
-        }
-
-        // Every on-disk candidate, keyed by fingerprint.
-        let mut on_disk: HashMap<Fingerprint, PathBuf> = HashMap::new();
+        let mut blobs: Vec<(SystemTime, Fingerprint, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let Ok(entry) = entry else { continue };
             let path = entry.path();
@@ -204,89 +165,52 @@ impl ScheduleStore {
                 report.discarded += 1;
                 continue;
             }
-            if let Some(hex) = name.strip_suffix(BLOB_SUFFIX) {
-                match hex.parse::<Fingerprint>() {
-                    Ok(fp) => {
-                        on_disk.insert(fp, path);
-                    }
-                    Err(_) => {
-                        // Not one of ours; leave it alone.
-                    }
-                }
-            }
+            // Anything that is not one of our blobs is left alone.
+            let Some(fingerprint) = name
+                .strip_suffix(BLOB_SUFFIX)
+                .and_then(|hex| hex.parse::<Fingerprint>().ok())
+            else {
+                continue;
+            };
+            let modified = entry
+                .metadata()
+                .and_then(|m| m.modified())
+                .unwrap_or(SystemTime::UNIX_EPOCH);
+            blobs.push((modified, fingerprint, path));
         }
-
-        // Load order: indexed entries first (oldest→newest), then adopted
-        // strays sorted by fingerprint for determinism.
-        let mut order: Vec<(Fingerprint, f64, bool)> = Vec::new();
-        for (fp, compile_s) in &indexed {
-            if on_disk.contains_key(fp) {
-                order.push((*fp, *compile_s, false));
-            }
-        }
-        let mut strays: Vec<Fingerprint> = on_disk
-            .keys()
-            .filter(|fp| !indexed.iter().any(|(i, _)| i == *fp))
-            .copied()
-            .collect();
-        strays.sort_by_key(|fp| fp.0);
-        for fp in strays {
-            order.push((fp, 0.0, true));
-        }
+        // Oldest first; ties (one filesystem clock tick) by fingerprint.
+        blobs.sort_unstable_by_key(|(modified, fingerprint, _)| (*modified, *fingerprint));
 
         let mut recovered = Vec::new();
-        let mut state = IndexState::default();
-        for (fp, compile_s, adopted) in order {
-            let path = &on_disk[&fp];
-            match load_blob(path) {
-                Some((entry_body, stats)) => {
-                    report.loaded += 1;
-                    if adopted {
-                        report.adopted += 1;
-                    }
-                    let seq = state.next_seq;
-                    state.next_seq += 1;
-                    let bytes = entry_body.len() as u64;
-                    state.total_bytes += bytes;
-                    state.entries.insert(
-                        fp,
-                        IndexEntry {
-                            compile_s,
-                            seq,
-                            bytes,
-                        },
-                    );
-                    recovered.push(RecoveredEntry {
-                        fingerprint: fp,
-                        entry: Arc::new(CacheEntry {
-                            schedule_json: entry_body,
-                            stats,
-                            compile_s,
-                        }),
-                    });
-                }
-                None => {
-                    // Truncated/corrupt blob: a cache can always recompile.
-                    let _ = std::fs::remove_file(path);
-                    report.discarded += 1;
-                }
-            }
+        let mut tracked = Tracked::default();
+        for (_, fingerprint, path) in blobs {
+            let Some((schedule_json, stats)) = load_blob(&path) else {
+                // Truncated/corrupt blob: a cache can always recompile.
+                let _ = std::fs::remove_file(&path);
+                report.discarded += 1;
+                continue;
+            };
+            report.loaded += 1;
+            tracked.insert(fingerprint, schedule_json.len() as u64);
+            recovered.push(RecoveredEntry {
+                fingerprint,
+                entry: Arc::new(CacheEntry {
+                    schedule_json,
+                    stats,
+                    compile_s: 0.0,
+                }),
+            });
         }
 
         let store = ScheduleStore {
             dir,
             options,
-            index: Mutex::new(state),
+            tracked: Mutex::new(tracked),
             persisted: AtomicU64::new(0),
             removed: AtomicU64::new(0),
             size_evicted: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            compacting: AtomicBool::new(false),
             recovery: report,
         };
-        // Recovery is itself a compaction: snapshot what survived, start
-        // with an empty journal.
-        store.compact_now();
         Ok((store, recovered))
     }
 
@@ -295,14 +219,14 @@ impl ScheduleStore {
         self.recovery
     }
 
-    /// Blobs currently tracked by the index (recovered + persisted −
-    /// removed); failed writes are never indexed, so this is the true
-    /// on-disk mirror size, unlike the in-memory cache length.
+    /// Blobs currently tracked (recovered + persisted − removed); failed
+    /// writes are never tracked, so this is the true on-disk mirror size,
+    /// unlike the in-memory cache length.
     pub fn len(&self) -> u64 {
-        self.index.lock().expect("store index lock").entries.len() as u64
+        self.tracked.lock().expect("store lock").blobs.len() as u64
     }
 
-    /// Returns `true` when the index tracks no blobs.
+    /// Returns `true` when the store tracks no blobs.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -322,36 +246,20 @@ impl ScheduleStore {
         self.size_evicted.load(Ordering::Relaxed)
     }
 
-    /// Index snapshots written since opening (recovery writes one).
-    pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
-    }
-
     /// Total bytes of tracked blobs.
     pub fn bytes(&self) -> u64 {
-        self.index.lock().expect("store index lock").total_bytes
-    }
-
-    /// Journal lines appended since the last snapshot.
-    pub fn journal_lines(&self) -> u64 {
-        self.index.lock().expect("store index lock").journal_lines
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        self.tracked.lock().expect("store lock").total_bytes
     }
 
     fn blob_path(&self, fingerprint: &Fingerprint) -> PathBuf {
         self.dir.join(format!("{fingerprint}{BLOB_SUFFIX}"))
     }
 
-    /// Spills one cache entry: atomic blob write, then a one-line journal
-    /// append (the whole index is *not* rewritten — see the [module
-    /// docs](self)). When a byte budget is configured, the oldest blobs
-    /// are evicted until the insert fits. Failures are reported to stderr
-    /// and swallowed — persistence is an availability feature, never a
-    /// reason to fail a compile.
+    /// Spills one cache entry with one atomic blob write. When a byte
+    /// budget is configured, the oldest blobs are evicted until the
+    /// insert fits. Failures are reported to stderr and swallowed —
+    /// persistence is an availability feature, never a reason to fail a
+    /// compile.
     pub fn persist(&self, fingerprint: Fingerprint, entry: &CacheEntry) {
         self.options.faults.store_write_delay();
         let path = self.blob_path(&fingerprint);
@@ -368,41 +276,22 @@ impl ScheduleStore {
         }
         let mut evicted: Vec<Fingerprint> = Vec::new();
         {
-            let mut index = self.index.lock().expect("store index lock");
-            let seq = index.next_seq;
-            index.next_seq += 1;
-            let bytes = entry.schedule_json.len() as u64;
-            if let Some(old) = index.entries.insert(
-                fingerprint,
-                IndexEntry {
-                    compile_s: entry.compile_s,
-                    seq,
-                    bytes,
-                },
-            ) {
-                index.total_bytes -= old.bytes;
-            }
-            index.total_bytes += bytes;
-            self.append_journal(
-                &mut index,
-                &journal_insert_line(&fingerprint, entry.compile_s),
-            );
+            let mut tracked = self.tracked.lock().expect("store lock");
+            tracked.insert(fingerprint, entry.schedule_json.len() as u64);
             if let Some(max) = self.options.max_bytes {
-                // Oldest-first eviction; the just-inserted row (highest
+                // Oldest-first eviction; the just-inserted blob (highest
                 // seq) is only ever the last candidate and is kept.
-                while index.total_bytes > max && index.entries.len() > 1 {
-                    let victim = index
-                        .entries
+                while tracked.total_bytes > max && tracked.blobs.len() > 1 {
+                    let victim = tracked
+                        .blobs
                         .iter()
-                        .min_by_key(|(_, e)| e.seq)
+                        .min_by_key(|(_, (seq, _))| *seq)
                         .map(|(fp, _)| *fp)
-                        .expect("non-empty index");
+                        .expect("non-empty store");
                     if victim == fingerprint {
                         break;
                     }
-                    let old = index.entries.remove(&victim).expect("victim exists");
-                    index.total_bytes -= old.bytes;
-                    self.append_journal(&mut index, &journal_remove_line(&victim));
+                    tracked.remove(&victim);
                     evicted.push(victim);
                 }
             }
@@ -414,87 +303,11 @@ impl ScheduleStore {
         }
     }
 
-    /// Drops an evicted entry's blob and index row (journal append, no
-    /// index rewrite).
+    /// Drops an evicted entry's blob.
     pub fn remove(&self, fingerprint: &Fingerprint) {
         let _ = std::fs::remove_file(self.blob_path(fingerprint));
-        let mut index = self.index.lock().expect("store index lock");
-        if let Some(old) = index.entries.remove(fingerprint) {
-            index.total_bytes -= old.bytes;
+        if self.tracked.lock().expect("store lock").remove(fingerprint) {
             self.removed.fetch_add(1, Ordering::Relaxed);
-            self.append_journal(&mut index, &journal_remove_line(fingerprint));
-        }
-    }
-
-    /// Claims the right to run one compaction if the journal has crossed
-    /// its threshold. The caller that gets `true` must follow up with
-    /// [`ScheduleStore::compact_now`] (typically on a background thread —
-    /// this is how the write path keeps compaction off its latency).
-    pub fn try_begin_compaction(&self) -> bool {
-        if self.index.lock().expect("store index lock").journal_lines
-            < self.options.journal_threshold
-        {
-            return false;
-        }
-        !self.compacting.swap(true, Ordering::AcqRel)
-    }
-
-    /// Compacts synchronously: snapshots the index to `index.json` and
-    /// truncates the journal. Used by recovery, drain, and the background
-    /// thread armed by [`ScheduleStore::try_begin_compaction`].
-    pub fn compact_now(&self) {
-        {
-            let mut index = self.index.lock().expect("store index lock");
-            self.write_index_file(&index);
-            if let Err(e) = std::fs::write(self.dir.join(JOURNAL_NAME), b"") {
-                eprintln!("qpilot-service: journal truncate failed: {e}");
-            }
-            index.journal_lines = 0;
-        }
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.compacting.store(false, Ordering::Release);
-    }
-
-    /// Appends one mutation line to the journal while the caller holds
-    /// the index lock (which serialises appends).
-    fn append_journal(&self, index: &mut IndexState, line: &str) {
-        let path = self.dir.join(JOURNAL_NAME);
-        let result = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
-        match result {
-            Ok(()) => index.journal_lines += 1,
-            Err(e) => eprintln!("qpilot-service: journal append failed: {e}"),
-        }
-    }
-
-    /// Writes the index file while the caller holds the index lock: the
-    /// lock covers build **and** tmp+rename, so concurrent workers can
-    /// neither interleave writes to the shared tmp path nor publish a
-    /// stale snapshot over a newer one.
-    fn write_index_file(&self, index: &IndexState) {
-        let mut rows: Vec<(&Fingerprint, &IndexEntry)> = index.entries.iter().collect();
-        rows.sort_by_key(|(_, e)| e.seq);
-        let mut out = String::with_capacity(64 + rows.len() * 64);
-        out.push_str("{\"format\":");
-        out.push_str(&json_str(STORE_INDEX_FORMAT));
-        out.push_str(",\"entries\":[");
-        for (i, (fp, e)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"fingerprint\":\"");
-            out.push_str(&fp.to_string());
-            out.push_str("\",\"compile_s\":");
-            out.push_str(&json::fmt_f64(e.compile_s));
-            out.push('}');
-        }
-        out.push_str("]}\n");
-        let path = self.dir.join("index.json");
-        if let Err(e) = write_atomic(&path, out.as_bytes()) {
-            eprintln!("qpilot-service: index write {} failed: {e}", path.display());
         }
     }
 }
@@ -504,80 +317,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("json.tmp");
     std::fs::write(&tmp, bytes)?;
     std::fs::rename(&tmp, path)
-}
-
-/// Reads the index rows `(fingerprint, compile_s)` in file order; any
-/// damage yields an empty list (recovery then adopts blobs by scan).
-fn read_index(path: &Path) -> Vec<(Fingerprint, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(doc) = json::parse(&text) else {
-        return Vec::new();
-    };
-    if doc.get("format").and_then(Value::as_str) != Some(STORE_INDEX_FORMAT) {
-        return Vec::new();
-    }
-    let mut rows = Vec::new();
-    for entry in doc.get("entries").and_then(Value::as_arr).unwrap_or(&[]) {
-        let Some(fp) = entry
-            .get("fingerprint")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse::<Fingerprint>().ok())
-        else {
-            continue;
-        };
-        let compile_s = entry
-            .get("compile_s")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        rows.push((fp, compile_s));
-    }
-    rows
-}
-
-fn journal_insert_line(fingerprint: &Fingerprint, compile_s: f64) -> String {
-    format!(
-        "{{\"op\":\"insert\",\"fingerprint\":\"{fingerprint}\",\"compile_s\":{}}}\n",
-        json::fmt_f64(compile_s)
-    )
-}
-
-fn journal_remove_line(fingerprint: &Fingerprint) -> String {
-    format!("{{\"op\":\"remove\",\"fingerprint\":\"{fingerprint}\"}}\n")
-}
-
-/// Replays the journal in append order. Unparsable lines — in practice
-/// only a torn final line from a crash mid-append — are skipped, as is a
-/// missing journal.
-fn read_journal(path: &Path) -> Vec<JournalOp> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let mut ops = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let Ok(doc) = json::parse(line) else { continue };
-        let Some(fp) = doc
-            .get("fingerprint")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse::<Fingerprint>().ok())
-        else {
-            continue;
-        };
-        match doc.get("op").and_then(Value::as_str) {
-            Some("insert") => {
-                let compile_s = doc.get("compile_s").and_then(Value::as_f64).unwrap_or(0.0);
-                ops.push(JournalOp::Insert(fp, compile_s));
-            }
-            Some("remove") => ops.push(JournalOp::Remove(fp)),
-            _ => {}
-        }
-    }
-    ops
 }
 
 /// Reads a blob and verifies it parses as a schedule; `None` on any
@@ -596,6 +335,7 @@ mod tests {
     use qpilot_circuit::Circuit;
     use qpilot_core::wire::schedule_to_json;
     use qpilot_core::{FpqaConfig, Workload};
+    use std::time::Duration;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -626,6 +366,16 @@ mod tests {
         )
     }
 
+    /// Sets a blob's modification time to `secs` after the epoch.
+    fn set_modified(store: &ScheduleStore, fingerprint: &Fingerprint, secs: u64) {
+        std::fs::File::options()
+            .write(true)
+            .open(store.blob_path(fingerprint))
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(secs))
+            .unwrap();
+    }
+
     #[test]
     fn persist_then_reopen_recovers_bytes_stats_and_order() {
         let dir = temp_dir("roundtrip");
@@ -633,20 +383,35 @@ mod tests {
         assert!(empty.is_empty());
         let (fp1, e1) = sample_entry(1);
         let (fp2, e2) = sample_entry(2);
-        store.persist(fp1, &e1);
+        let (fp3, e3) = sample_entry(3);
+        // Written highest fingerprint first; the modification times name
+        // a third order, which the replay must follow.
+        store.persist(fp3, &e3);
         store.persist(fp2, &e2);
+        store.persist(fp1, &e1);
+        set_modified(&store, &fp2, 1_000);
+        set_modified(&store, &fp1, 2_000);
+        set_modified(&store, &fp3, 3_000);
         drop(store);
 
         let (store, recovered) = ScheduleStore::open(&dir).unwrap();
-        assert_eq!(recovered.len(), 2);
-        assert_eq!(store.recovery().loaded, 2);
+        assert_eq!(store.recovery().loaded, 3);
         assert_eq!(store.recovery().discarded, 0);
-        // Oldest first, bytes exact, stats recomputed, compile_s kept.
-        assert_eq!(recovered[0].fingerprint, fp1);
-        assert_eq!(recovered[1].fingerprint, fp2);
-        assert_eq!(recovered[0].entry.schedule_json, e1.schedule_json);
-        assert_eq!(recovered[0].entry.stats, e1.stats);
-        assert!((recovered[0].entry.compile_s - e1.compile_s).abs() < 1e-12);
+        let order: Vec<Fingerprint> = recovered.iter().map(|r| r.fingerprint).collect();
+        assert_eq!(order, [fp2, fp1, fp3], "oldest modification time first");
+        // Bytes exact, stats recomputed; the compile time is not stored.
+        assert_eq!(recovered[1].entry.schedule_json, e1.schedule_json);
+        assert_eq!(recovered[1].entry.stats, e1.stats);
+        assert_eq!(recovered[1].entry.compile_s, 0.0);
+
+        // Equal times replay in fingerprint order.
+        for fp in [fp1, fp2, fp3] {
+            set_modified(&store, &fp, 5_000);
+        }
+        drop(store);
+        let (_, recovered) = ScheduleStore::open(&dir).unwrap();
+        let order: Vec<Fingerprint> = recovered.iter().map(|r| r.fingerprint).collect();
+        assert_eq!(order, [fp1, fp2, fp3], "ties broken by fingerprint");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -684,28 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn unindexed_blob_is_adopted() {
-        let dir = temp_dir("adopt");
-        let (store, _) = ScheduleStore::open(&dir).unwrap();
-        let (fp1, e1) = sample_entry(1);
-        store.persist(fp1, &e1);
-        // Simulate a kill between blob rename and journal append: nuke
-        // the snapshot *and* the journal but keep the blob.
-        std::fs::remove_file(dir.join("index.json")).unwrap();
-        let _ = std::fs::remove_file(dir.join(JOURNAL_NAME));
-        drop(store);
-
-        let (store, recovered) = ScheduleStore::open(&dir).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(store.recovery().adopted, 1);
-        assert_eq!(recovered[0].entry.schedule_json, e1.schedule_json);
-        // Adoption loses the compile time but recomputes the stats.
-        assert_eq!(recovered[0].entry.compile_s, 0.0);
-        assert_eq!(recovered[0].entry.stats, e1.stats);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn remove_deletes_blob_and_index_row() {
         let dir = temp_dir("remove");
         let (store, _) = ScheduleStore::open(&dir).unwrap();
@@ -715,110 +458,12 @@ mod tests {
         store.persist(fp2, &e2);
         store.remove(&fp1);
         assert_eq!(store.removed(), 1);
+        assert_eq!(store.len(), 1);
         assert!(!store.blob_path(&fp1).exists());
         drop(store);
         let (_, recovered) = ScheduleStore::open(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].fingerprint, fp2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_index_degrades_to_scan() {
-        let dir = temp_dir("badindex");
-        let (store, _) = ScheduleStore::open(&dir).unwrap();
-        let (fp1, e1) = sample_entry(1);
-        store.persist(fp1, &e1);
-        std::fs::write(dir.join("index.json"), "][ not json").unwrap();
-        // Kill the journal too: replay would otherwise paper over the
-        // snapshot damage this test is about.
-        std::fs::write(dir.join(JOURNAL_NAME), "").unwrap();
-        drop(store);
-        let (_, recovered) = ScheduleStore::open(&dir).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].entry.schedule_json, e1.schedule_json);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn inserts_append_journal_lines_instead_of_rewriting_the_index() {
-        let dir = temp_dir("journal");
-        let (store, _) = ScheduleStore::open(&dir).unwrap();
-        let snapshot_after_open = std::fs::read_to_string(dir.join("index.json")).unwrap();
-        let (fp1, e1) = sample_entry(1);
-        let (fp2, e2) = sample_entry(2);
-        store.persist(fp1, &e1);
-        store.persist(fp2, &e2);
-        store.remove(&fp1);
-        // Three mutations → three journal lines; the snapshot is untouched.
-        assert_eq!(store.journal_lines(), 3);
-        assert_eq!(
-            std::fs::read_to_string(dir.join("index.json")).unwrap(),
-            snapshot_after_open,
-            "insert/remove must not rewrite the snapshot"
-        );
-
-        // Recovery = snapshot + journal replay.
-        drop(store);
-        let (store, recovered) = ScheduleStore::open(&dir).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].fingerprint, fp2);
-        assert_eq!(recovered[0].entry.schedule_json, e2.schedule_json);
-        assert!(
-            (recovered[0].entry.compile_s - e2.compile_s).abs() < 1e-12,
-            "journal replay keeps compile_s"
-        );
-        // Recovery compacted: journal empty, snapshot has the survivor.
-        assert_eq!(store.journal_lines(), 0);
-        assert!(std::fs::read_to_string(dir.join("index.json"))
-            .unwrap()
-            .contains(&fp2.to_string()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_journal_tail_is_skipped() {
-        let dir = temp_dir("torn");
-        let (store, _) = ScheduleStore::open(&dir).unwrap();
-        let (fp1, e1) = sample_entry(1);
-        store.persist(fp1, &e1);
-        drop(store);
-        // A crash mid-append leaves a half-written final line.
-        let journal = dir.join(JOURNAL_NAME);
-        let mut text = std::fs::read_to_string(&journal).unwrap();
-        text.push_str("{\"op\":\"remove\",\"fingerpr");
-        std::fs::write(&journal, text).unwrap();
-
-        let (store, recovered) = ScheduleStore::open(&dir).unwrap();
-        assert_eq!(recovered.len(), 1, "torn tail must not lose good rows");
-        assert_eq!(store.recovery().loaded, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crossing_the_journal_threshold_arms_exactly_one_compaction() {
-        let dir = temp_dir("compactgate");
-        let (store, _) = ScheduleStore::open_with(
-            &dir,
-            StoreOptions {
-                journal_threshold: 2,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        let (fp1, e1) = sample_entry(1);
-        let (fp2, e2) = sample_entry(2);
-        assert!(!store.try_begin_compaction(), "below threshold");
-        store.persist(fp1, &e1);
-        store.persist(fp2, &e2);
-        assert!(store.try_begin_compaction());
-        assert!(
-            !store.try_begin_compaction(),
-            "second claimant must lose while a compaction is pending"
-        );
-        store.compact_now();
-        assert_eq!(store.journal_lines(), 0);
-        assert!(!store.try_begin_compaction(), "journal drained");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -161,7 +161,8 @@ fn sigkilled_daemon_restarts_warm_with_byte_identical_schedules() {
 fn corrupted_store_never_blocks_startup() {
     let store = temp_store("corrupt");
     std::fs::create_dir_all(&store).expect("mkdir");
-    // Worst-case directory: garbage index, garbage blob, unrelated file.
+    // Worst-case directory: an older version's index file holding
+    // garbage, a garbage blob, an unrelated file.
     std::fs::write(store.join("index.json"), "not json at all").unwrap();
     std::fs::write(
         store.join("00000000000000000000000000000000.schedule.json"),
@@ -180,8 +181,12 @@ fn corrupted_store_never_blocks_startup() {
         stats.get("store_persisted").and_then(Value::as_u64),
         Some(1)
     );
-    // Unrelated files are untouched.
+    // Files that are not blobs are untouched.
     assert!(store.join("README.txt").exists());
+    assert_eq!(
+        std::fs::read_to_string(store.join("index.json")).unwrap(),
+        "not json at all"
+    );
 
     request(daemon.addr, r#"{"op":"shutdown"}"#);
     let mut child = daemon.child;

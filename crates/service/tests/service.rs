@@ -372,6 +372,129 @@ fn daemon_binary_serves_stdio_until_end_of_input() {
     assert_eq!(replies[2], r#"{"ok":true,"op":"pong","request_id":"s-2"}"#);
 }
 
+/// A few bytes naming a huge size get an error line naming the field,
+/// not an allocation of gigabytes or a panic: `qpilotd --stdio` answers
+/// each, compiles a circuit at the limit, and still answers a ping.
+#[test]
+fn oversized_request_sizes_are_refused_by_a_live_daemon() {
+    use std::process::{Command, Stdio};
+
+    let refused = [
+        (
+            r#"{"op":"compile","circuit":{"num_qubits":4000000000,"gates":[]}}"#,
+            "num_qubits",
+        ),
+        (r#"{"op":"compile","qasm":"qreg q[4000000000];"}"#, "qasm"),
+        (
+            r#"{"op":"compile","router":"qaoa","qubits":4000000000,"edges":[],"gamma":0.7}"#,
+            "qubits",
+        ),
+        (
+            r#"{"op":"compile","router":"qaoa","qubits":2,"edges":[[0,1]],"gamma":0.7,"anchors":4000000000}"#,
+            "anchors",
+        ),
+        (
+            r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[]},"cols":4000000000}"#,
+            "cols",
+        ),
+        (
+            r#"{"op":"compile","router":"qec","distance":70000}"#,
+            "distance",
+        ),
+        (
+            r#"{"op":"compile","router":"qec","distance":2,"rounds":400000000}"#,
+            "rounds",
+        ),
+        (
+            r#"{"op":"compile","router":"qec","distance":65536}"#,
+            "distance",
+        ),
+    ];
+    let mut input = String::new();
+    for (line, _) in refused {
+        input.push_str(line);
+        input.push('\n');
+    }
+    input.push_str(
+        r#"{"op":"compile","schedule":false,"circuit":{"num_qubits":65536,"gates":[["cz",0,1]]}}"#,
+    );
+    input.push_str("\n{\"op\":\"ping\"}\n");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_qpilotd"))
+        .args(["--stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn qpilotd");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let writer = std::thread::spawn(move || stdin.write_all(input.as_bytes()));
+    let output = child.wait_with_output().expect("daemon exits");
+    writer.join().expect("writer thread").expect("write stdin");
+    assert!(output.status.success(), "exit status: {:?}", output.status);
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 replies");
+    let replies: Vec<Value> = stdout
+        .lines()
+        .map(|line| json::parse(line).expect("JSON reply"))
+        .collect();
+    assert_eq!(replies.len(), refused.len() + 2, "{stdout}");
+    for ((line, field), reply) in refused.iter().zip(&replies) {
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{line}");
+        let error = reply.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(error.contains(&format!("`{field}`")), "{line}: {error}");
+    }
+    let at_limit = &replies[refused.len()];
+    assert_eq!(at_limit.get("ok"), Some(&Value::Bool(true)), "{stdout}");
+    let pong = &replies[refused.len() + 1];
+    assert_eq!(pong.get("op").and_then(Value::as_str), Some("pong"));
+}
+
+/// `qpilot-cli` stops with exit 2 naming the flag when it meets a flag
+/// it does not know or a value flag without its value, instead of
+/// dialling the default daemon.
+#[test]
+fn cli_binary_rejects_unknown_flags_and_missing_values() {
+    use std::io::Read as _;
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+
+    for (args, flag) in [
+        (&["ping", "--conect", "127.0.0.1:1"][..], "--conect"),
+        (&["ping", "--connect"][..], "--connect"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_qpilot-cli"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn qpilot-cli");
+        let give_up = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll qpilot-cli") {
+                break Some(status);
+            }
+            if Instant::now() >= give_up {
+                let _ = child.kill();
+                let _ = child.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        let _ = child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr);
+        assert_eq!(
+            status.and_then(|s| s.code()),
+            Some(2),
+            "{args:?} did not stop the client: {stderr}"
+        );
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn malformed_lines_do_not_poison_the_connection() {
     let server = serve_tcp(test_service(1, 4), "127.0.0.1:0", ReactorOptions::default()).unwrap();

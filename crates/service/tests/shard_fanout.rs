@@ -172,19 +172,29 @@ fn aggregated_stats_equal_the_sum_of_per_shard_stats() {
     let ring = ShardRing::new(&[shards[0].addr.to_string(), shards[1].addr.to_string()]);
 
     // A spread of distinct circuits plus one repeat (a guaranteed hit
-    // on whichever shard owns it).
-    for seed in 0..8u64 {
+    // on whichever shard owns it). The shards listen on ephemeral ports,
+    // so the ring differs per run and 8 keys all land on one shard about
+    // once in 128 runs: keep compiling until each shard owns one, up to
+    // 64 keys.
+    let mut owned = [0u64; 2];
+    let mut compiled = 0u64;
+    for seed in 0..64u64 {
+        if compiled >= 8 && owned.iter().all(|&n| n > 0) {
+            break;
+        }
         let circuit = random_circuit(&RandomCircuitConfig::paper(6, 2, seed));
         let line = compile_request_line(&circuit_to_value_json(&circuit), None, None, None, false);
         let owner_addr = ring.shard_for(&fingerprint_of_line(&line)).to_string();
         let owner = shards
             .iter()
-            .find(|s| s.addr.to_string() == owner_addr)
+            .position(|s| s.addr.to_string() == owner_addr)
             .expect("ring owner is one of the live shards");
-        let response = round_trip(owner.addr, &line);
+        owned[owner] += 1;
+        compiled += 1;
+        let response = round_trip(shards[owner].addr, &line);
         assert!(response.contains("\"ok\":true"), "{response}");
         if seed == 3 {
-            let repeat = round_trip(owner.addr, &line);
+            let repeat = round_trip(shards[owner].addr, &line);
             assert!(repeat.contains("\"cache\":\"hit\""), "{repeat}");
         }
     }
@@ -208,10 +218,10 @@ fn aggregated_stats_equal_the_sum_of_per_shard_stats() {
         let sum: u64 = docs.iter().map(|d| stat(d, key)).sum();
         assert_eq!(stat(&merged, key), sum, "aggregated `{key}` is not the sum");
     }
-    // Both shards really served traffic: 8 distinct compiles + 1 repeat
-    // spread across the fleet.
-    assert_eq!(stat(&merged, "requests"), 9);
-    assert_eq!(stat(&merged, "compiles"), 8);
+    // Both shards really served traffic: the distinct compiles + 1
+    // repeat spread across the fleet.
+    assert_eq!(stat(&merged, "requests"), compiled + 1);
+    assert_eq!(stat(&merged, "compiles"), compiled);
     assert_eq!(stat(&merged, "hits"), 1);
     assert!(
         docs.iter().all(|d| stat(d, "requests") > 0),

@@ -257,6 +257,34 @@ fn a_string_line_just_under_the_cap_is_answered_within_1_s() {
     server.shutdown();
 }
 
+/// QASM is split into statements in linear time: a register, blank
+/// lines filling the line cap and one gate are answered within 5 s.
+#[test]
+fn a_qasm_line_of_blank_lines_up_to_the_cap_is_answered_within_5_s() {
+    let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
+    let mut client = Client::connect(server.local_addr());
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set a read timeout");
+    let head = r#"{"op":"compile","schedule":false,"qasm":"qreg q[2];\n"#;
+    let tail = r#"cz q[0], q[1];"}"#;
+    // A space and an escaped newline: three bytes on the wire.
+    let blank = r" \n";
+    let lines = (MAX_REQUEST_LINE_BYTES - 64 - head.len() - tail.len()) / blank.len();
+    let line = format!("{head}{}{tail}", blank.repeat(lines));
+    let started = Instant::now();
+    let response = client.request(&line);
+    let elapsed = started.elapsed();
+    assert!(response.starts_with("{\"ok\":true"), "{response}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "answered after {elapsed:?}"
+    );
+    server.shutdown();
+}
+
 /// A client that dies mid-line must not take anything with it.
 #[test]
 fn client_disconnect_mid_line_leaves_daemon_healthy() {
