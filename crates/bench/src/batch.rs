@@ -20,8 +20,7 @@ use crate::baseline_devices;
 /// ([`qpilot_core::compile`](mod@qpilot_core::compile)) on `threads`
 /// workers (input order preserved). Workload families can be mixed
 /// freely within one batch; a fresh [`Compiler`] is built per item —
-/// the routers are stateless option holders, so construction is a few
-/// boxed-pointer allocations, negligible next to a route.
+/// it holds only its options, so construction allocates nothing.
 pub fn compile_workload_batch(
     workloads: &[Workload],
     config: &FpqaConfig,

@@ -74,7 +74,6 @@ fn main() {
             QaoaRouterOptions {
                 anchor_candidates: 1,
                 column_extension: false,
-                ..QaoaRouterOptions::default()
             },
         ),
     ];

@@ -6,13 +6,12 @@
 //! circuit, a Pauli-string evolution, a QAOA cost graph), a [`Compiler`]
 //! turns it into a hardware [`Schedule`](crate::Schedule) by running the
 //! full pipeline — decompose → route → (optionally) validate/lower —
-//! and every knob lives in one builder-style [`CompileOptions`]. New
-//! routers and serving frontends plug in through the [`Router`] trait
-//! instead of editing per-router call sites across crates.
+//! and every knob lives in one builder-style [`CompileOptions`]. The
+//! workload family alone picks the router: [`Compiler::compile`] is one
+//! `match` on the [`Workload`].
 //!
-//! The three built-in routers stay available for direct use
-//! ([`GenericRouter`], [`QsimRouter`], [`QaoaRouter`]); the pipeline
-//! produces
+//! The four routers stay available for direct use ([`GenericRouter`],
+//! [`QsimRouter`], [`QaoaRouter`], [`QecRouter`]); the pipeline produces
 //! byte-identical schedules to calling them directly — the workspace's
 //! differential suites assert this on serialised wire bytes.
 //!
@@ -85,11 +84,8 @@ pub const FINGERPRINT_DOMAIN: &str = "qpilot.compile/v2";
 
 /// Which of Q-Pilot's routers a compilation targets (also the service
 /// protocol's `"router"` tag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterTag {
-    /// Infer the router from the workload family (the default).
-    #[default]
-    Auto,
     /// The generic flying-ancilla router (arbitrary circuits).
     Generic,
     /// The quantum-simulation router (Pauli-string evolutions).
@@ -101,10 +97,9 @@ pub enum RouterTag {
 }
 
 impl RouterTag {
-    /// The wire name (`auto` / `generic` / `qsim` / `qaoa` / `qec`).
+    /// The wire name (`generic` / `qsim` / `qaoa` / `qec`).
     pub fn as_str(self) -> &'static str {
         match self {
-            RouterTag::Auto => "auto",
             RouterTag::Generic => "generic",
             RouterTag::Qsim => "qsim",
             RouterTag::Qaoa => "qaoa",
@@ -115,7 +110,6 @@ impl RouterTag {
     /// Parses a wire name.
     pub fn parse(s: &str) -> Option<RouterTag> {
         match s {
-            "auto" => Some(RouterTag::Auto),
             "generic" => Some(RouterTag::Generic),
             "qsim" => Some(RouterTag::Qsim),
             "qaoa" => Some(RouterTag::Qaoa),
@@ -161,7 +155,7 @@ pub struct QecWorkload {
 }
 
 /// What to compile: the per-family payload. The workload family selects
-/// the router under [`RouterTag::Auto`] dispatch.
+/// the router.
 ///
 /// # Example
 ///
@@ -257,8 +251,7 @@ impl Workload {
         })
     }
 
-    /// The router this workload resolves to under [`RouterTag::Auto`].
-    /// Never returns [`RouterTag::Auto`].
+    /// The router this workload compiles on.
     pub fn router(&self) -> RouterTag {
         match self {
             Workload::Generic(_) => RouterTag::Generic,
@@ -380,10 +373,6 @@ impl QaoaOptions {
         QaoaRouterOptions {
             anchor_candidates: self.anchor_candidates.unwrap_or(defaults.anchor_candidates),
             column_extension: self.column_extension.unwrap_or(defaults.column_extension),
-            // Search-execution knobs (threads, pruning) are not part of
-            // the request surface: they cannot change the schedule, so
-            // they stay out of the wire form and the options fingerprint.
-            ..defaults
         }
     }
 }
@@ -494,22 +483,12 @@ impl From<QecRouterOptions> for RouterOptions {
 pub enum CompileError {
     /// The workload is malformed (caught before routing).
     InvalidWorkload(String),
-    /// [`CompileOptions::router`] names a router the workload's family
-    /// does not match (and the router does not claim support for it).
-    RouterMismatch {
-        /// The explicitly requested router.
-        requested: RouterTag,
-        /// The workload's own family.
-        workload: RouterTag,
-    },
-    /// No registered router carries the resolved tag.
-    NoRouter(RouterTag),
     /// [`CompileOptions::router_options`] belong to a different router
-    /// than the one dispatched to.
+    /// than the workload's own.
     OptionsMismatch {
         /// The family of the provided options.
         options: RouterTag,
-        /// The router that was dispatched to.
+        /// The workload's router.
         router: RouterTag,
     },
     /// The router rejected the workload.
@@ -524,16 +503,6 @@ impl fmt::Display for CompileError {
         match self {
             // Wire-stable: `qpilotd` error lines carry this rendering.
             CompileError::InvalidWorkload(m) => write!(f, "invalid request: {m}"),
-            CompileError::RouterMismatch {
-                requested,
-                workload,
-            } => {
-                write!(
-                    f,
-                    "router `{requested}` cannot compile a `{workload}` workload"
-                )
-            }
-            CompileError::NoRouter(tag) => write!(f, "no registered router for `{tag}`"),
             CompileError::OptionsMismatch { options, router } => {
                 write!(
                     f,
@@ -568,219 +537,41 @@ impl From<ValidateError> for CompileError {
     }
 }
 
-/// A routing backend the [`Compiler`] can dispatch to.
+/// The checks every request passes before routing, in this order: the
+/// workload's shape ([`Workload::validate`]), then that `options`, when
+/// given, belong to the workload's router. [`Compiler::compile`] runs
+/// them, and the serving layer runs them before it queues a request.
 ///
-/// Implemented by the three built-in routers; a fourth router plugs into
-/// the pipeline by implementing this trait (plus a [`RouterTag`] variant
-/// once it joins the wire protocol) and registering via
-/// [`Compiler::register`].
-pub trait Router {
-    /// The tag this router serves. Never [`RouterTag::Auto`].
-    fn tag(&self) -> RouterTag;
-
-    /// Capability probe: can this router compile `workload`? The default
-    /// accepts exactly its own workload family.
-    fn supports(&self, workload: &Workload) -> bool {
-        workload.router() == self.tag()
-    }
-
-    /// Applies per-request options (`None` restores the router's
-    /// defaults — important when one long-lived router instance serves
-    /// many requests).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::OptionsMismatch`] when handed another family's
-    /// options.
-    fn configure(&mut self, options: Option<&RouterOptions>) -> Result<(), CompileError>;
-
-    /// Installs the cancellation token polled at stage boundaries during
-    /// [`Router::route`]. Called by the pipeline *after*
-    /// [`Router::configure`] (which resets the router to a fresh
-    /// configuration) and before routing. The default ignores the token,
-    /// so third-party routers keep compiling — they just don't cancel.
-    fn set_cancel(&mut self, cancel: CancelToken) {
-        let _ = cancel;
-    }
-
-    /// Routes the workload onto the FPQA.
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::RouterMismatch`] on a foreign workload family,
-    /// [`CompileError::Route`] when routing itself fails — including
-    /// [`RouteError::Cancelled`] when the
-    /// installed [`CancelToken`] fires at a stage boundary.
-    fn route(
-        &mut self,
-        workload: &Workload,
-        config: &FpqaConfig,
-    ) -> Result<CompiledProgram, CompileError>;
-}
-
-fn mismatch<T>(router: RouterTag, workload: &Workload) -> Result<T, CompileError> {
-    Err(CompileError::RouterMismatch {
-        requested: router,
-        workload: workload.router(),
-    })
-}
-
-fn options_mismatch(router: RouterTag, options: &RouterOptions) -> CompileError {
-    CompileError::OptionsMismatch {
-        options: options.tag(),
-        router,
-    }
-}
-
-impl Router for GenericRouter {
-    fn tag(&self) -> RouterTag {
-        RouterTag::Generic
-    }
-
-    fn configure(&mut self, options: Option<&RouterOptions>) -> Result<(), CompileError> {
-        *self = match options {
-            None => GenericRouter::new(),
-            Some(RouterOptions::Generic(o)) => GenericRouter::with_options(*o),
-            Some(other) => return Err(options_mismatch(self.tag(), other)),
-        };
-        Ok(())
-    }
-
-    fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    fn route(
-        &mut self,
-        workload: &Workload,
-        config: &FpqaConfig,
-    ) -> Result<CompiledProgram, CompileError> {
-        match workload {
-            Workload::Generic(circuit) => Ok(GenericRouter::route(self, circuit, config)?),
-            _ => mismatch(self.tag(), workload),
-        }
-    }
-}
-
-impl Router for QsimRouter {
-    fn tag(&self) -> RouterTag {
-        RouterTag::Qsim
-    }
-
-    fn configure(&mut self, options: Option<&RouterOptions>) -> Result<(), CompileError> {
-        *self = match options {
-            None => QsimRouter::new(),
-            Some(RouterOptions::Qsim(o)) => QsimRouter::with_options(*o),
-            Some(other) => return Err(options_mismatch(self.tag(), other)),
-        };
-        Ok(())
-    }
-
-    fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    fn route(
-        &mut self,
-        workload: &Workload,
-        config: &FpqaConfig,
-    ) -> Result<CompiledProgram, CompileError> {
-        match workload {
-            Workload::Qsim(strings) => Ok(self.route_weighted(strings, config)?),
-            _ => mismatch(self.tag(), workload),
-        }
-    }
-}
-
-impl Router for QaoaRouter {
-    fn tag(&self) -> RouterTag {
-        RouterTag::Qaoa
-    }
-
-    fn configure(&mut self, options: Option<&RouterOptions>) -> Result<(), CompileError> {
-        *self = match options {
-            None => QaoaRouter::new(),
-            Some(RouterOptions::Qaoa(o)) => QaoaRouter::with_options(o.resolve()),
-            Some(other) => return Err(options_mismatch(self.tag(), other)),
-        };
-        Ok(())
-    }
-
-    fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    fn route(
-        &mut self,
-        workload: &Workload,
-        config: &FpqaConfig,
-    ) -> Result<CompiledProgram, CompileError> {
-        match workload {
-            Workload::Qaoa(q) => {
-                if q.betas.is_empty() {
-                    Ok(self.route_edges(q.num_qubits, &q.edges, q.gammas[0], config)?)
-                } else {
-                    Ok(self.route_qaoa_rounds(
-                        q.num_qubits,
-                        &q.edges,
-                        &q.gammas,
-                        &q.betas,
-                        config,
-                    )?)
-                }
-            }
-            _ => mismatch(self.tag(), workload),
-        }
-    }
-}
-
-impl Router for QecRouter {
-    fn tag(&self) -> RouterTag {
-        RouterTag::Qec
-    }
-
-    fn configure(&mut self, options: Option<&RouterOptions>) -> Result<(), CompileError> {
-        *self = match options {
-            None => QecRouter::new(),
-            Some(RouterOptions::Qec(o)) => QecRouter::with_options(o.resolve()),
-            Some(other) => return Err(options_mismatch(self.tag(), other)),
-        };
-        Ok(())
-    }
-
-    fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    fn route(
-        &mut self,
-        workload: &Workload,
-        config: &FpqaConfig,
-    ) -> Result<CompiledProgram, CompileError> {
-        match workload {
-            Workload::Qec(q) => Ok(self.route_rounds(q, config)?),
-            _ => mismatch(self.tag(), workload),
-        }
+/// # Errors
+///
+/// [`CompileError::InvalidWorkload`] or [`CompileError::OptionsMismatch`].
+pub fn check_request(
+    workload: &Workload,
+    options: Option<&RouterOptions>,
+) -> Result<(), CompileError> {
+    workload.validate()?;
+    match options {
+        Some(options) if options.tag() != workload.router() => Err(CompileError::OptionsMismatch {
+            options: options.tag(),
+            router: workload.router(),
+        }),
+        _ => Ok(()),
     }
 }
 
 /// Builder-style options for [`Compiler`].
 ///
 /// ```
-/// use qpilot_core::compile::{CompileOptions, RouterTag};
+/// use qpilot_core::compile::CompileOptions;
 /// use qpilot_core::generic::GenericRouterOptions;
 ///
 /// let options = CompileOptions::new()
-///     .router(RouterTag::Generic)
 ///     .router_options(GenericRouterOptions { stage_cap: Some(2) })
 ///     .validate(true);
 /// assert!(options.validate);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompileOptions {
-    /// Router selection; [`RouterTag::Auto`] (the default) infers the
-    /// router from the workload family.
-    pub router: RouterTag,
     /// Per-router options (`None` = that router's defaults).
     pub router_options: Option<RouterOptions>,
     /// Replay the routed schedule through the geometric validator and
@@ -797,16 +588,9 @@ pub struct CompileOptions {
 }
 
 impl CompileOptions {
-    /// Default options: auto router, router defaults, no validation or
-    /// lowering.
+    /// Default options: router defaults, no validation or lowering.
     pub fn new() -> Self {
         CompileOptions::default()
-    }
-
-    /// Selects the router explicitly (or [`RouterTag::Auto`]).
-    pub fn router(mut self, tag: RouterTag) -> Self {
-        self.router = tag;
-        self
     }
 
     /// Sets per-router options.
@@ -864,10 +648,11 @@ impl std::ops::Deref for CompileOutput {
 
 /// The unified compile pipeline: workload in, schedule out.
 ///
-/// Holds one instance of every registered [`Router`] (the three built-ins
-/// by default) and dispatches each [`Workload`] per [`CompileOptions`].
-/// A `Compiler` is cheap to construct and reusable across requests of
-/// any family — the serving layer keeps one per worker thread.
+/// Holds the [`CompileOptions`] and compiles each [`Workload`] on its
+/// family's router, built per compile from those options — a router is
+/// nothing but its options and a deadline token. A `Compiler` is cheap
+/// to construct and reusable across requests of any family — the
+/// serving layer keeps one per worker thread.
 ///
 /// # Example
 ///
@@ -887,7 +672,6 @@ impl std::ops::Deref for CompileOutput {
 /// ```
 pub struct Compiler {
     options: CompileOptions,
-    routers: Vec<Box<dyn Router + Send>>,
 }
 
 impl Default for Compiler {
@@ -897,36 +681,14 @@ impl Default for Compiler {
 }
 
 impl Compiler {
-    /// A compiler with default options and the four built-in routers.
+    /// A compiler with default options.
     pub fn new() -> Self {
         Compiler::with_options(CompileOptions::new())
     }
 
-    /// A compiler with explicit options and the four built-in routers.
+    /// A compiler with explicit options.
     pub fn with_options(options: CompileOptions) -> Self {
-        Compiler {
-            options,
-            routers: vec![
-                Box::new(GenericRouter::new()),
-                Box::new(QsimRouter::new()),
-                Box::new(QaoaRouter::new()),
-                Box::new(QecRouter::new()),
-            ],
-        }
-    }
-
-    /// A compiler with *no* routers; combine with [`Compiler::register`]
-    /// to build a custom backend set.
-    pub fn empty(options: CompileOptions) -> Self {
-        Compiler {
-            options,
-            routers: Vec::new(),
-        }
-    }
-
-    /// Registers a router. On tag collision the latest registration wins.
-    pub fn register(&mut self, router: Box<dyn Router + Send>) {
-        self.routers.push(router);
+        Compiler { options }
     }
 
     /// The current options.
@@ -939,9 +701,9 @@ impl Compiler {
         self.options = options;
     }
 
-    /// Runs the full pipeline: workload shape validation, router
-    /// dispatch (decompose + route), then the optional validate / lower
-    /// stages.
+    /// Runs the full pipeline: the request checks ([`check_request`]),
+    /// the deadline check, routing on the workload's own router
+    /// (decompose + route), then the optional validate / lower stages.
     ///
     /// # Errors
     ///
@@ -951,27 +713,50 @@ impl Compiler {
         workload: &Workload,
         config: &FpqaConfig,
     ) -> Result<CompileOutput, CompileError> {
-        workload.validate()?;
-        let resolved = match self.options.router {
-            RouterTag::Auto => workload.router(),
-            tag => tag,
+        let options = self.options.router_options;
+        check_request(workload, options.as_ref())?;
+        let cancel = self.options.cancel;
+        cancel.check()?;
+        // `check_request` ruled out another family's options, so each
+        // arm sees its own options or none (the router's defaults).
+        let program = match workload {
+            Workload::Generic(circuit) => {
+                let mut router = match options {
+                    Some(RouterOptions::Generic(o)) => GenericRouter::with_options(o),
+                    _ => GenericRouter::new(),
+                };
+                router.cancel = cancel;
+                router.route(circuit, config)?
+            }
+            Workload::Qsim(strings) => {
+                let mut router = match options {
+                    Some(RouterOptions::Qsim(o)) => QsimRouter::with_options(o),
+                    _ => QsimRouter::new(),
+                };
+                router.cancel = cancel;
+                router.route_weighted(strings, config)?
+            }
+            Workload::Qaoa(q) => {
+                let mut router = match options {
+                    Some(RouterOptions::Qaoa(o)) => QaoaRouter::with_options(o.resolve()),
+                    _ => QaoaRouter::new(),
+                };
+                router.cancel = cancel;
+                if q.betas.is_empty() {
+                    router.route_edges(q.num_qubits, &q.edges, q.gammas[0], config)?
+                } else {
+                    router.route_qaoa_rounds(q.num_qubits, &q.edges, &q.gammas, &q.betas, config)?
+                }
+            }
+            Workload::Qec(q) => {
+                let mut router = match options {
+                    Some(RouterOptions::Qec(o)) => QecRouter::with_options(o.resolve()),
+                    _ => QecRouter::new(),
+                };
+                router.cancel = cancel;
+                router.route_rounds(q, config)?
+            }
         };
-        // Latest registration wins, so scan from the back.
-        let router = self
-            .routers
-            .iter_mut()
-            .rev()
-            .find(|r| r.tag() == resolved)
-            .ok_or(CompileError::NoRouter(resolved))?;
-        if !router.supports(workload) {
-            return mismatch(resolved, workload);
-        }
-        router.configure(self.options.router_options.as_ref())?;
-        // After configure: configure replaces the router's state wholesale,
-        // which would wipe a token installed earlier.
-        router.set_cancel(self.options.cancel);
-        self.options.cancel.check().map_err(CompileError::Route)?;
-        let program = router.route(workload, config)?;
         let validation = if self.options.validate {
             Some(validate_schedule(program.schedule(), config)?)
         } else {
@@ -1161,42 +946,36 @@ mod tests {
     }
 
     #[test]
-    fn explicit_router_must_match_workload() {
-        let mut compiler = Compiler::with_options(CompileOptions::new().router(RouterTag::Qsim));
-        let err = compiler
-            .compile(
-                &Workload::circuit(small_circuit()),
-                &FpqaConfig::square_for(4),
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CompileError::RouterMismatch {
-                requested: RouterTag::Qsim,
-                workload: RouterTag::Generic,
-            }
-        );
-    }
-
-    #[test]
     fn foreign_options_are_rejected() {
-        let mut compiler =
-            Compiler::with_options(CompileOptions::new().router_options(QsimRouterOptions {
-                max_copies: Some(2),
-            }));
-        let err = compiler
-            .compile(
-                &Workload::circuit(small_circuit()),
-                &FpqaConfig::square_for(4),
-            )
-            .unwrap_err();
-        assert_eq!(
-            err,
-            CompileError::OptionsMismatch {
-                options: RouterTag::Qsim,
-                router: RouterTag::Generic,
-            }
-        );
+        // One mismatched pair per family: every workload's own arm must
+        // refuse another family's options before routing.
+        let cfg = FpqaConfig::square_for(4);
+        let qsim_options = RouterOptions::from(QsimRouterOptions {
+            max_copies: Some(2),
+        });
+        let generic_options = RouterOptions::from(GenericRouterOptions { stage_cap: Some(2) });
+        let qec_options = RouterOptions::from(QecOptions::default());
+        let qaoa_options = RouterOptions::from(QaoaOptions::default());
+        for (workload, options) in [
+            (Workload::circuit(small_circuit()), qsim_options),
+            (
+                Workload::pauli_strings(vec!["ZZIZ".parse().unwrap()], 0.4),
+                generic_options,
+            ),
+            (Workload::qaoa_cost_layer(4, vec![(0, 1)], 0.7), qec_options),
+            (Workload::surface_code(2, 1, 0.4), qaoa_options),
+        ] {
+            let err = Compiler::with_options(CompileOptions::new().router_options(options))
+                .compile(&workload, &cfg)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::OptionsMismatch {
+                    options: options.tag(),
+                    router: workload.router(),
+                }
+            );
+        }
     }
 
     #[test]
@@ -1267,26 +1046,6 @@ mod tests {
             };
             assert!(m.contains(needle), "{m}");
         }
-    }
-
-    #[test]
-    fn empty_compiler_reports_missing_router() {
-        let mut compiler = Compiler::empty(CompileOptions::new());
-        let err = compiler
-            .compile(
-                &Workload::circuit(small_circuit()),
-                &FpqaConfig::square_for(4),
-            )
-            .unwrap_err();
-        assert_eq!(err, CompileError::NoRouter(RouterTag::Generic));
-        // Registering a router fixes it; the latest registration wins.
-        compiler.register(Box::new(GenericRouter::new()));
-        assert!(compiler
-            .compile(
-                &Workload::circuit(small_circuit()),
-                &FpqaConfig::square_for(4)
-            )
-            .is_ok());
     }
 
     #[test]

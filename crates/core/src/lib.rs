@@ -10,10 +10,10 @@
 //! crate's test-suite.
 //!
 //! The front door is [`compile`](mod@crate::compile): a [`Workload`] names
-//! what to compile (circuit / Pauli strings / QAOA graph), a [`Compiler`]
-//! dispatches it through the [`Router`] trait and runs the optional
+//! what to compile (circuit / Pauli strings / QAOA graph / surface code),
+//! a [`Compiler`] routes it on its family's router and runs the optional
 //! validate/lower stages, and [`CompileError`] unifies every failure
-//! mode. Three routers are provided, mirroring the paper:
+//! mode. Four routers are provided, three mirroring the paper:
 //!
 //! * [`generic::GenericRouter`] — Alg. 1: greedy maximum legal subsets of
 //!   the dependency front layer, one flying ancilla per routed CZ,
@@ -68,7 +68,7 @@ pub mod wire;
 pub use cancel::CancelToken;
 pub use compile::{
     compile, CompileError, CompileOptions, CompileOutput, Compiler, QaoaOptions, QaoaWorkload,
-    QecOptions, QecWorkload, Router, RouterOptions, RouterTag, Workload,
+    QecOptions, QecWorkload, RouterOptions, RouterTag, Workload,
 };
 pub use config::FpqaConfig;
 pub use error::RouteError;

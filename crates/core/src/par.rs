@@ -1,9 +1,7 @@
 //! A dependency-free data-parallel map over OS threads.
 //!
-//! Hoisted from `qpilot-bench` so core hot paths (the QAOA anchor search)
-//! can fan candidate evaluation out without inverting the dependency
-//! graph; the bench crate re-exports these under the old names. The build
-//! environment cannot fetch `rayon`, so the fan-out uses
+//! `qpilot-bench` fans batches of independent compiles out with it. The
+//! build environment cannot fetch `rayon`, so the fan-out uses
 //! `std::thread::scope`: workers pull item indices from one atomic
 //! counter (work-stealing-ish dynamic scheduling, so skewed per-item
 //! costs still balance) and send results back tagged with their index.

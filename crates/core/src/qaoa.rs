@@ -45,18 +45,6 @@ pub struct QaoaRouterOptions {
     pub anchor_candidates: usize,
     /// Whether to grow the column pattern after the row sweep.
     pub column_extension: bool,
-    /// Worker threads for candidate-stage evaluation (the per-stage
-    /// argmax over anchors × seed modes). Purely an execution policy:
-    /// the argmax tie-breaks by candidate enumeration order regardless
-    /// of completion order, so any value produces byte-identical
-    /// schedules (differentially tested). Not part of the compile
-    /// fingerprint. Defaults to `1` (serial).
-    pub search_threads: usize,
-    /// Skip anchors whose bucket edge set is a subset of the current
-    /// best candidate's matched set (they seed no column pattern the
-    /// best stage does not already execute). Ablation knob; not part of
-    /// the compile fingerprint.
-    pub prune_dominated: bool,
 }
 
 impl Default for QaoaRouterOptions {
@@ -64,8 +52,6 @@ impl Default for QaoaRouterOptions {
         QaoaRouterOptions {
             anchor_candidates: 8,
             column_extension: true,
-            search_threads: 1,
-            prune_dominated: true,
         }
     }
 }
@@ -572,8 +558,6 @@ impl Geometry {
 }
 
 /// Read-only state shared by every candidate evaluation of one stage.
-/// `Sync` by construction, so candidates can fan out across worker
-/// threads ([`crate::par::parallel_map`]).
 struct SearchContext<'a> {
     remaining: &'a BTreeSet<(u32, u32)>,
     edge_bits: &'a EdgeBits,
@@ -652,20 +636,10 @@ fn sparse_first_row(bucket: &BTreeSet<(u32, u32)>, config: &FpqaConfig) -> PairM
     cols
 }
 
-/// One candidate of a stage's argmax: an anchor bucket plus a seed mode,
-/// carrying its pre-built first-row column pattern.
-struct StageCandidate {
-    r0: usize,
-    y0: usize,
-    seed_all: bool,
-    cols: PairMatcher,
-}
-
-/// Reusable per-candidate working buffers. The serial walk builds ~16
-/// candidates per stage; sharing one scratch across them (and across
-/// stages) keeps allocation out of the search. Parallel workers allocate
-/// their own — the contents never outlive one [`build_candidate`] call,
-/// so reuse is invisible to the result.
+/// Reusable per-candidate working buffers. The selection walk builds up
+/// to ~16 candidates per stage; sharing one scratch across them keeps
+/// allocation out of the search. The contents never outlive one
+/// [`build_candidate`] call, so reuse is invisible to the result.
 struct CandidateScratch {
     /// Edges matched by the candidate under construction.
     stage_matched: EdgeBits,
@@ -691,21 +665,16 @@ impl CandidateScratch {
 /// sparse column seeds, plus a post-sweep column-extension pass) and keep
 /// the one executing the most edges.
 ///
-/// The search is a pure argmax over the candidate list, so three
-/// accelerations leave the chosen stage byte-identical (differentially
-/// tested against the pre-optimisation goldens):
+/// The search is a pure argmax over the candidates, so two
+/// accelerations leave the chosen stage byte-identical (pinned by the
+/// pre-optimisation goldens):
 ///
 /// * first-row matchings come from [`FirstRowMemo`] instead of being
 ///   rebuilt per stage;
-/// * with [`QaoaRouterOptions::prune_dominated`], anchors whose bucket
-///   edge set is a subset of the current best candidate's matched set
-///   are skipped — the walk applies the same skip in every execution
-///   mode, so the selection stays deterministic;
-/// * with [`QaoaRouterOptions::search_threads`] > 1 candidates are
-///   evaluated by [`crate::par::parallel_map`] and the winner is chosen
-///   by a serial walk in enumeration order — ties break toward the
-///   earliest candidate exactly as the serial loop always did,
-///   regardless of completion order.
+/// * an anchor whose bucket edge set is a subset of the current best
+///   candidate's matched set is skipped before either of its seeds is
+///   built — it seeds no column pattern the best stage does not
+///   already execute.
 fn solve_stage(ctx: &SearchContext<'_>, memo: &mut FirstRowMemo) -> StageSolution {
     // Candidate anchors: the densest buckets, plus the bucket holding the
     // globally smallest edge (the paper's e0) as a deterministic fallback.
@@ -736,88 +705,37 @@ fn solve_stage(ctx: &SearchContext<'_>, memo: &mut FirstRowMemo) -> StageSolutio
         keys.push(e0_key);
     }
 
-    // Enumerate candidates in the fixed argmax order: sorted keys × seed
-    // modes (dense first). The first-row patterns are resolved up front
-    // (memo access needs `&mut`, candidate evaluation is `&`-parallel).
-    let mut candidates: Vec<StageCandidate> = Vec::with_capacity(keys.len() * 2);
-    for &key in &keys {
-        let dense = memo.get(ctx.buckets, ctx.config, key).clone();
-        let sparse = sparse_first_row(&ctx.buckets.map[&key], ctx.config);
-        // A sparse seed equal to the dense one (single-insertion bucket)
-        // builds the identical candidate; under strict-improvement
-        // selection the later duplicate can never win, so it is skipped
-        // without changing the argmax.
-        let distinct = sparse.pairs() != dense.pairs();
-        candidates.push(StageCandidate {
-            r0: key.0,
-            y0: key.1,
-            seed_all: true,
-            cols: dense,
-        });
-        if distinct {
-            candidates.push(StageCandidate {
-                r0: key.0,
-                y0: key.1,
-                seed_all: false,
-                cols: sparse,
-            });
-        }
-    }
-
-    // Parallel mode solves every candidate eagerly (pruned ones waste a
-    // worker slot but cannot change the outcome); serial mode solves
-    // lazily inside the selection walk so pruning skips real work.
-    let threads = ctx.options.search_threads.max(1);
-    let slm_cols = ctx.config.slm().cols();
-    let mut solved: Vec<Option<StageSolution>> = if threads > 1 && candidates.len() > 1 {
-        crate::par::parallel_map(&candidates, threads, |c| {
-            let mut scratch = CandidateScratch::new(ctx.num_qubits, slm_cols);
-            Some(build_candidate(
-                ctx,
-                c.r0,
-                c.y0,
-                c.cols.clone(),
-                &mut scratch,
-            ))
-        })
-    } else {
-        candidates.iter().map(|_| None).collect()
-    };
-    let mut scratch = CandidateScratch::new(ctx.num_qubits, slm_cols);
-
-    // Selection walk, identical in every execution mode: anchors are
-    // visited in enumeration order, pruned anchors are skipped before
-    // their candidates are considered, and a candidate replaces the best
-    // only when strictly better (first-wins tie-breaking).
+    // Selection walk over the anchors in key order, building each
+    // candidate lazily: a dominated anchor is skipped before its memo
+    // entry or either seed is touched; otherwise its dense seed is tried,
+    // then its sparse seed. A candidate replaces the best only when
+    // strictly better, so ties break toward the earliest.
+    let mut scratch = CandidateScratch::new(ctx.num_qubits, ctx.config.slm().cols());
     let mut best: Option<StageSolution> = None;
     let mut best_matched = EdgeBits::new(ctx.num_qubits as usize);
-    let mut anchor_pruned = false;
-    for (i, cand) in candidates.iter().enumerate() {
-        if cand.seed_all {
-            // Anchor boundary: decide the prune once per anchor, before
-            // either seed mode is considered.
-            anchor_pruned = ctx.options.prune_dominated
-                && best.is_some()
-                && ctx.buckets.map[&(cand.r0, cand.y0)]
-                    .iter()
-                    .all(|&(u, v)| best_matched.contains(u, v));
-        }
-        if anchor_pruned {
+    for key in keys {
+        let bucket = &ctx.buckets.map[&key];
+        if best.is_some() && bucket.iter().all(|&(u, v)| best_matched.contains(u, v)) {
             continue;
         }
-        let candidate = solved[i].take().unwrap_or_else(|| {
-            build_candidate(ctx, cand.r0, cand.y0, cand.cols.clone(), &mut scratch)
-        });
-        if best
-            .as_ref()
-            .map(|b| candidate.matched.len() > b.matched.len())
-            .unwrap_or(true)
-        {
-            best_matched.clear();
-            for &(u, v) in &candidate.matched {
-                best_matched.insert(u, v);
+        let dense = memo.get(ctx.buckets, ctx.config, key).clone();
+        // A sparse seed equal to the dense one (single-insertion bucket)
+        // builds the identical candidate, which can never be strictly
+        // better, so it is not built.
+        let sparse = sparse_first_row(bucket, ctx.config);
+        let sparse = (sparse.pairs() != dense.pairs()).then_some(sparse);
+        for cols in std::iter::once(dense).chain(sparse) {
+            let candidate = build_candidate(ctx, key.0, key.1, cols, &mut scratch);
+            if best
+                .as_ref()
+                .is_none_or(|b| candidate.matched.len() > b.matched.len())
+            {
+                best_matched.clear();
+                for &(u, v) in &candidate.matched {
+                    best_matched.insert(u, v);
+                }
+                best = Some(candidate);
             }
-            best = Some(candidate);
         }
     }
     let sol = best.expect("at least the e0 bucket yields a stage");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! qpilotd [--listen HOST:PORT | --stdio] [--workers N] [--queue N]
-//!         [--cache N] [--shards N] [--store DIR]
+//!         [--cache N] [--store DIR]
 //!         [--store-max-bytes N] [--max-compile-ms N]
 //!         [--line-deadline-ms N] [--drain-ms N] [--faults SPEC]
 //!         [--metrics-listen HOST:PORT] [--log-json]
@@ -81,12 +81,11 @@ fn install_sigterm_handler() {
 }
 
 /// Flags followed by a value.
-const VALUE_FLAGS: [&str; 12] = [
+const VALUE_FLAGS: [&str; 11] = [
     "--listen",
     "--workers",
     "--queue",
     "--cache",
-    "--shards",
     "--store",
     "--store-max-bytes",
     "--max-compile-ms",
@@ -166,7 +165,6 @@ fn main() {
         workers: flags.num("--workers", defaults.workers),
         queue_capacity: flags.num("--queue", defaults.queue_capacity),
         cache_capacity: flags.num("--cache", defaults.cache_capacity),
-        cache_shards: flags.num("--shards", defaults.cache_shards),
         store_dir: store_dir.clone(),
         max_compile_ms: flags
             .opt_num("--max-compile-ms")
@@ -175,6 +173,7 @@ fn main() {
             .opt_num("--store-max-bytes")
             .or(defaults.store_max_bytes),
         faults: fault_spec(&flags),
+        ..defaults
     };
     let service = match Service::try_new(config) {
         Ok(service) => service,

@@ -176,21 +176,6 @@ impl CompileRequest {
         .cancel(cancel)
     }
 
-    /// Request-level shape checks (workload shape plus options/workload
-    /// family agreement), run before any queueing.
-    fn validate(&self) -> Result<(), CompileError> {
-        self.workload.validate()?;
-        if let Some(options) = &self.options {
-            if options.tag() != self.workload.router() {
-                return Err(CompileError::OptionsMismatch {
-                    options: options.tag(),
-                    router: self.workload.router(),
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// The canonical content fingerprint
     /// ([`qpilot_core::compile::fingerprint`], `qpilot.compile/v2`
     /// domain): router tag, workload, derived architecture and
@@ -198,6 +183,16 @@ impl CompileRequest {
     pub fn fingerprint(&self) -> Fingerprint {
         compile::fingerprint(&self.workload, self.options.as_ref(), &self.config())
     }
+}
+
+/// The message a caught panic carried (`panic!` payloads are a `&str`
+/// or a `String`).
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
 }
 
 /// Tuning knobs for [`Service::new`].
@@ -604,12 +599,7 @@ impl Service {
                             ctx.run(&mut compiler, &job)
                         }))
                         .unwrap_or_else(|payload| {
-                            let message = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "unknown panic".to_string());
-                            Err(ServiceError::Internal(message))
+                            Err(ServiceError::Internal(panic_message(&*payload)))
                         });
                         // Answer the coalesced waiters *after* the cache
                         // insert (inside `run`), so any submitter arriving
@@ -692,7 +682,8 @@ impl Service {
         fail_fast: bool,
     ) -> Result<CompileResponse, ServiceError> {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        request.validate().map_err(ServiceError::Compile)?;
+        // The compiler's own request checks, run before any queueing.
+        compile::check_request(&request.workload, request.options.as_ref())?;
         let fingerprint = {
             let _span = obs::Span::start(&crate::metrics::STAGE_FINGERPRINT);
             request.fingerprint()

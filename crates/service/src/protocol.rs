@@ -44,8 +44,8 @@
 //! order-independently — `circuit`/`qasm` → generic, `strings` → qsim,
 //! `edges`/`qubits` → qaoa, `distance` → qec — and rejects requests
 //! whose markers point at more than one family, naming the conflicting
-//! fields, mirroring [`RouterTag::Auto`] dispatch in
-//! `qpilot_core::compile`):
+//! fields, the way `qpilot_core::compile` picks the router from the
+//! workload family):
 //!
 //! * `generic` — `"circuit"` object or `"qasm"` string (exactly one);
 //!   option `"stage_cap"`.
@@ -179,23 +179,18 @@ fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request,
         "compile" => {
             let router = match doc.get("router") {
                 None | Some(Value::Null) => RouterTag::Generic,
-                Some(v) => {
-                    let name = v.as_str().ok_or("`router` must be a string")?;
-                    RouterTag::parse(name).ok_or_else(|| {
+                Some(v) => match v.as_str().ok_or("`router` must be a string")? {
+                    "auto" => sniff_router(doc)?,
+                    name => RouterTag::parse(name).ok_or_else(|| {
                         format!("unknown router `{name}` (auto|generic|qsim|qaoa|qec)")
-                    })?
-                }
-            };
-            let router = match router {
-                RouterTag::Auto => sniff_router(doc)?,
-                tag => tag,
+                    })?,
+                },
             };
             let (workload, options) = match router {
                 RouterTag::Generic => generic_workload(doc)?,
                 RouterTag::Qsim => qsim_workload(doc)?,
                 RouterTag::Qaoa => qaoa_workload(doc)?,
                 RouterTag::Qec => qec_workload(doc)?,
-                RouterTag::Auto => unreachable!("auto resolved above"),
             };
             let cols = opt_positive(doc, "cols")?;
             within_wire_limit("cols", cols.unwrap_or(0) as u64)?;
@@ -238,8 +233,8 @@ const FAMILY_MARKERS: [(&str, RouterTag); 6] = [
     ("distance", RouterTag::Qec),
 ];
 
-/// Infers the workload family from the payload's marker fields
-/// (mirroring `RouterTag::Auto` dispatch in the core API). The scan is
+/// Infers the workload family from the payload's marker fields, the
+/// wire form of the core API's family-picks-the-router rule. The scan is
 /// order-independent: every marker is inspected, and a payload whose
 /// markers point at more than one family is rejected with both
 /// conflicting field names rather than silently compiling whichever

@@ -30,7 +30,9 @@
 //! * during a drain, a connection idle at a line boundary is closed
 //!   after its already-received requests are answered;
 //! * a `shutdown` response is flushed to its client, then the whole
-//!   reactor stops.
+//!   reactor stops;
+//! * a handler that panics is answered with an `{"ok":false}` line
+//!   naming the panic, and its dispatcher lives on.
 //!
 //! Memory stays bounded without blocking the reactor: a connection with
 //! 256 requests in flight or 4 MiB of unflushed replies has its read
@@ -41,6 +43,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -49,7 +52,8 @@ use std::time::{Duration, Instant};
 
 use netpoll::{Interest, Poller, Waker};
 
-use crate::protocol::Handled;
+use crate::pool::panic_message;
+use crate::protocol::{next_request_id, render_error, Handled};
 use crate::server::{Frame, LineFramer};
 
 /// The per-request callback: one request line in (newline stripped,
@@ -283,7 +287,21 @@ fn dispatcher_loop(
             Err(_) => return,
         };
         let Ok(job) = job else { return };
-        let handled = handler(&job.line);
+        // A panicking handler costs its line an error reply, not this
+        // dispatcher: a lost dispatcher would leave the line unanswered,
+        // stall every later reply on its connection behind it, and once
+        // all dispatchers were gone no connection would be answered.
+        let handled =
+            catch_unwind(AssertUnwindSafe(|| handler(&job.line))).unwrap_or_else(|payload| {
+                Handled {
+                    response: render_error(
+                        &format!("internal error: {}", panic_message(&*payload)),
+                        false,
+                        &next_request_id(),
+                    ),
+                    shutdown: false,
+                }
+            });
         if done_tx
             .send(Completion {
                 token: job.token,
@@ -718,5 +736,53 @@ mod tests {
         // No connection state is left behind by the reset.
         server.begin_drain();
         assert!(server.drain_wait(Duration::from_secs(5)));
+    }
+
+    /// More panicking lines than there are dispatchers, then a good
+    /// line, on one connection: each panic must cost one error reply,
+    /// in order, and leave every dispatcher alive for the good line and
+    /// for a fresh connection.
+    #[test]
+    fn a_panicking_handler_costs_one_error_line_not_a_dispatcher() {
+        let handler: LineHandler = Arc::new(|line: &str| {
+            if line == "boom" {
+                panic!("boom");
+            }
+            Handled {
+                response: format!("done {line}"),
+                shutdown: false,
+            }
+        });
+        let server =
+            ReactorServer::spawn("127.0.0.1:0", ReactorOptions::default(), handler).unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            (BufReader::new(stream.try_clone().unwrap()), stream)
+        };
+
+        let (mut reader, mut writer) = connect();
+        let panics = dispatcher_count() + 1;
+        writer
+            .write_all(format!("{}ok\n", "boom\n".repeat(panics)).as_bytes())
+            .unwrap();
+        for i in 0..panics {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("{\"ok\":false"), "reply {i}: {line}");
+            assert!(line.contains("internal error: "), "reply {i}: {line}");
+        }
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "done ok\n");
+
+        let (mut reader, mut writer) = connect();
+        writer.write_all(b"ok\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "done ok\n");
+        server.shutdown();
     }
 }

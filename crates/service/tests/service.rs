@@ -321,6 +321,9 @@ fn daemon_binary_rejects_unknown_and_malformed_flags() {
         (&["--max-compile-ms", "10s"][..], "--max-compile-ms"),
         (&["--workers", "two"][..], "--workers"),
         (&["--store-max-bytes"][..], "--store-max-bytes"),
+        // The cache's lock-stripe count is not a daemon flag; on
+        // `qpilot-router` and `qpilot-cli` `--shards` names fleet shards.
+        (&["--shards", "4"][..], "--shards"),
     ] {
         // With the flags accepted, `--stdio` would serve the empty stdin
         // and exit 0.

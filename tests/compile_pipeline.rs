@@ -7,16 +7,17 @@
 //! schedule cache (in-memory and on-disk) keys on them.
 //!
 //! This file is the sanctioned home of direct `GenericRouter::route` /
-//! `route_strings` / `route_edges` calls outside `qpilot-core` itself:
-//! they are the reference side of the differential assertions.
+//! `route_strings` / `route_edges` / `route_rounds` calls outside
+//! `qpilot-core` itself: they are the reference side of the
+//! differential assertions.
 
 use qpilot::circuit::{Circuit, PauliString};
 use qpilot::core::compile::{
-    compile, CompileError, CompileOptions, Compiler, QaoaOptions, RouterOptions, RouterTag,
-    Workload,
+    compile, CompileOptions, Compiler, QaoaOptions, QecOptions, RouterOptions, Workload,
 };
 use qpilot::core::generic::{GenericRouter, GenericRouterOptions};
 use qpilot::core::qaoa::{QaoaRouter, QaoaRouterOptions};
+use qpilot::core::qec::QecRouter;
 use qpilot::core::qsim::{QsimRouter, QsimRouterOptions};
 use qpilot::core::wire::schedule_to_json;
 use qpilot::core::FpqaConfig;
@@ -115,7 +116,6 @@ fn qaoa_pipeline_matches_direct_router_bytes() {
     let router_options = QaoaRouterOptions {
         anchor_candidates: 1,
         column_extension: false,
-        ..QaoaRouterOptions::default()
     };
     let direct = QaoaRouter::with_options(router_options)
         .route_edges(5, &edges, 0.7, &cfg)
@@ -131,32 +131,27 @@ fn qaoa_pipeline_matches_direct_router_bytes() {
 }
 
 #[test]
-fn explicit_router_tags_match_auto_dispatch() {
-    let cfg = FpqaConfig::square_for(4);
-    let workloads = [
-        Workload::circuit(golden_circuit()),
-        Workload::pauli_strings(golden_strings(), 0.5),
-        Workload::qaoa_round(4, vec![(0, 1), (2, 3)], 0.7, 0.3),
-    ];
-    for workload in &workloads {
-        let auto = compile(workload, &cfg).unwrap();
-        let explicit = Compiler::with_options(CompileOptions::new().router(workload.router()))
-            .compile(workload, &cfg)
+fn qec_pipeline_matches_direct_router_bytes() {
+    let workload = Workload::surface_code(3, 2, 0.4);
+    let Workload::Qec(qec) = &workload else {
+        unreachable!("surface_code builds a qec workload")
+    };
+    let cfg = workload.config(None);
+    for parallel_waves in [None, Some(false), Some(true)] {
+        let options = QecOptions { parallel_waves };
+        let direct = QecRouter::with_options(options.resolve())
+            .route_rounds(qec, &cfg)
+            .unwrap();
+        let piped = Compiler::with_options(CompileOptions::new().router_options(options))
+            .compile(&workload, &cfg)
             .unwrap()
             .into_program();
         assert_eq!(
-            schedule_to_json(auto.schedule()),
-            schedule_to_json(explicit.schedule())
+            schedule_to_json(piped.schedule()),
+            schedule_to_json(direct.schedule()),
+            "parallel_waves {parallel_waves:?}"
         );
-        // And the wrong explicit tag is refused, not misrouted.
-        let wrong = match workload.router() {
-            RouterTag::Generic => RouterTag::Qsim,
-            _ => RouterTag::Generic,
-        };
-        let err = Compiler::with_options(CompileOptions::new().router(wrong))
-            .compile(workload, &cfg)
-            .unwrap_err();
-        assert!(matches!(err, CompileError::RouterMismatch { .. }));
+        assert_eq!(piped.stats(), direct.stats());
     }
 }
 
