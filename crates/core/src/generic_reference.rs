@@ -31,7 +31,7 @@ use crate::json::fmt_f64;
 use crate::legality::{axis_ranks, pair_compatible, GatePlacement};
 use crate::motion::{axis_coords, park_col_base, park_row_base};
 use crate::schedule::{AtomRef, RydbergKind, RydbergOp, ScheduleStats, TransferOp};
-use crate::wire;
+use crate::wire::{self, FloatTable};
 use crate::FpqaConfig;
 
 /// One stage in the frozen pre-arena layout: heap-owned payloads, one
@@ -147,18 +147,19 @@ impl LegacySchedule {
         out.push_str(",\"aod_cols\":");
         out.push_str(&self.aod_cols.to_string());
         out.push_str(",\"stages\":[");
+        let mut floats = FloatTable::default();
         for (i, stage) in self.stages.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            write_legacy_stage(&mut out, stage);
+            write_legacy_stage(&mut out, &mut floats, stage);
         }
         out.push_str("]}");
         out
     }
 }
 
-fn write_legacy_stage(out: &mut String, stage: &LegacyStage) {
+fn write_legacy_stage(out: &mut String, floats: &mut FloatTable, stage: &LegacyStage) {
     match stage {
         LegacyStage::Raman(gates) => {
             out.push_str("{\"kind\":\"raman\",\"gates\":[");
@@ -166,7 +167,7 @@ fn write_legacy_stage(out: &mut String, stage: &LegacyStage) {
                 if i > 0 {
                     out.push(',');
                 }
-                wire::write_gate(out, g);
+                wire::write_gate(out, floats, g);
             }
             out.push_str("]}");
         }

@@ -413,6 +413,18 @@ impl Schedule {
     pub(crate) fn stage_handle(&self, index: usize) -> Stage {
         self.stages[index].clone()
     }
+
+    /// Entries in the Raman, transfer, coordinate and Rydberg pools —
+    /// the element counts of the whole stage sequence, since the stage
+    /// handles tile the pools exactly.
+    pub(crate) fn pool_lens(&self) -> [usize; 4] {
+        [
+            self.raman_gates.len(),
+            self.transfer_ops.len(),
+            self.coords.len(),
+            self.rydberg_ops.len(),
+        ]
+    }
 }
 
 /// Equality is *logical*: same register header and the same stage

@@ -25,12 +25,19 @@
 //! `[ancilla, row, col, load]`, and Rydberg ops are `[atom, atom, kind]`
 //! with atoms `["d", qubit]` / `["a", ancilla]` and kind `"cz"`,
 //! `["cx", target_b]` or `["zz", theta]`.
+//!
+//! The writer appends every number in place into one pre-sized buffer:
+//! integers digit by digit, and floats through a [`FloatTable`], which
+//! formats a value the first time it appears in a document and copies
+//! that text for each repeat (a 100-qubit schedule holds ~31k AOD
+//! coordinates drawn from about a hundred values). The bytes are those
+//! of [`json::fmt_f64`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use qpilot_circuit::{Gate, Qubit};
 
-use crate::json::{self, fmt_f64, Value};
+use crate::json::{self, Value};
 use crate::schedule::{
     AncillaId, AtomRef, RydbergKind, RydbergOp, Schedule, ScheduleBuilder, StageRef, TransferOp,
 };
@@ -75,34 +82,109 @@ fn schema(m: impl Into<String>) -> WireError {
 /// Panics if the schedule contains non-finite floats (no router emits
 /// them; the debug validator would reject such a schedule anyway).
 pub fn schedule_to_json(schedule: &Schedule) -> String {
-    // Pre-size: large schedules (thousands of stages) dominate the
-    // service's cold path, so avoid repeated reallocation.
-    let mut out = String::with_capacity(64 + schedule.num_stages() * 48);
+    let mut out = String::with_capacity(estimated_len(schedule));
+    let mut floats = FloatTable::default();
     out.push_str("{\"format\":\"");
     out.push_str(SCHEDULE_FORMAT);
     out.push_str("\",\"num_data\":");
-    out.push_str(&schedule.num_data.to_string());
+    push_uint(&mut out, schedule.num_data.into());
     out.push_str(",\"num_ancillas\":");
-    out.push_str(&schedule.num_ancillas.to_string());
+    push_uint(&mut out, schedule.num_ancillas.into());
     out.push_str(",\"aod_rows\":");
-    out.push_str(&schedule.aod_rows.to_string());
+    push_uint(&mut out, schedule.aod_rows as u64);
     out.push_str(",\"aod_cols\":");
-    out.push_str(&schedule.aod_cols.to_string());
+    push_uint(&mut out, schedule.aod_cols as u64);
     out.push_str(",\"stages\":[");
     for (i, stage) in schedule.stages().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_stage(&mut out, stage);
+        write_stage(&mut out, &mut floats, stage);
     }
     out.push_str("]}");
     out
 }
 
-/// Writes one stage in the `qpilot.schedule/v1` encoding (shared with the
-/// frozen legacy writer in [`crate::generic_reference`], which serialises
-/// the pre-arena layout to the same bytes).
-pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
+/// Bytes to reserve for `schedule`'s document: a little more than the
+/// paper's 100-qubit random and qsim schedules take per stage and per
+/// pooled element, so their buffer never regrows. Documents whose gates
+/// carry many long angles (QFT, QAOA) may regrow once.
+fn estimated_len(schedule: &Schedule) -> usize {
+    let [gates, transfers, coords, rydberg] = schedule.pool_lens();
+    64 + 30 * schedule.num_stages() + 10 * gates + 16 * transfers + 5 * coords + 30 * rydberg
+}
+
+/// Appends the decimal digits of `v`.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Slots in a [`FloatTable`]; a power of two, so the slot index is the
+/// top bits of a multiplicative hash.
+const FLOAT_SLOTS: usize = 256;
+
+/// The text of each float already written into one output buffer, so a
+/// repeated value is copied from there rather than formatted again.
+///
+/// Direct-mapped and keyed by bit pattern: `0.0` and `-0.0` never share
+/// text, and a collision overwrites the slot and costs one re-format. A
+/// table serves a single buffer that only grows: its slots hold offsets
+/// into that buffer, so make one table per document.
+pub struct FloatTable {
+    /// `(bits, start, len)` of the text at `out[start..start + len]`;
+    /// `len == 0` marks an empty slot (no float's text is empty).
+    slots: [(u64, u32, u32); FLOAT_SLOTS],
+}
+
+impl Default for FloatTable {
+    fn default() -> Self {
+        FloatTable {
+            slots: [(0, 0, 0); FLOAT_SLOTS],
+        }
+    }
+}
+
+impl FloatTable {
+    /// Appends `v` to `out` exactly as [`json::fmt_f64`] formats it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-finite `v`, as [`json::fmt_f64`] does.
+    fn push(&mut self, out: &mut String, v: f64) {
+        let bits = v.to_bits();
+        // Fold the sign, exponent and leading mantissa bits, where short
+        // decimals differ most, into the low half, then keep the top bits
+        // of a Fibonacci multiply.
+        let hash = (bits ^ (bits >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = &mut self.slots[(hash >> (64 - FLOAT_SLOTS.trailing_zeros())) as usize];
+        if slot.2 != 0 && slot.0 == bits {
+            let start = slot.1 as usize;
+            out.extend_from_within(start..start + slot.2 as usize);
+            return;
+        }
+        assert!(v.is_finite(), "cannot serialise non-finite number to JSON");
+        let start = out.len();
+        write!(out, "{v}").expect("writing to a String cannot fail");
+        if let (Ok(start), Ok(len)) = (u32::try_from(start), u32::try_from(out.len() - start)) {
+            *slot = (bits, start, len);
+        }
+    }
+}
+
+/// Writes one stage in the `qpilot.schedule/v1` encoding.
+fn write_stage(out: &mut String, floats: &mut FloatTable, stage: StageRef<'_>) {
     match stage {
         StageRef::Raman(gates) => {
             out.push_str("{\"kind\":\"raman\",\"gates\":[");
@@ -110,7 +192,7 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_gate(out, g);
+                write_gate(out, floats, g);
             }
             out.push_str("]}");
         }
@@ -121,11 +203,11 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                     out.push(',');
                 }
                 out.push('[');
-                out.push_str(&op.ancilla.0.to_string());
+                push_uint(out, op.ancilla.0.into());
                 out.push(',');
-                out.push_str(&op.row.to_string());
+                push_uint(out, op.row as u64);
                 out.push(',');
-                out.push_str(&op.col.to_string());
+                push_uint(out, op.col as u64);
                 out.push(',');
                 out.push_str(if op.load { "true" } else { "false" });
                 out.push(']');
@@ -138,14 +220,14 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&fmt_f64(*y));
+                floats.push(out, *y);
             }
             out.push_str("],\"col_x\":[");
             for (i, x) in col_x.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&fmt_f64(*x));
+                floats.push(out, *x);
             }
             out.push_str("]}");
         }
@@ -169,7 +251,7 @@ pub(crate) fn write_stage(out: &mut String, stage: StageRef<'_>) {
                     }
                     RydbergKind::Zz(theta) => {
                         out.push_str("[\"zz\",");
-                        out.push_str(&fmt_f64(theta));
+                        floats.push(out, theta);
                         out.push(']');
                     }
                 }
@@ -184,48 +266,49 @@ fn write_atom(out: &mut String, atom: AtomRef) {
     match atom {
         AtomRef::Data(q) => {
             out.push_str("[\"d\",");
-            out.push_str(&q.to_string());
+            push_uint(out, q.into());
             out.push(']');
         }
         AtomRef::Ancilla(a) => {
             out.push_str("[\"a\",");
-            out.push_str(&a.0.to_string());
+            push_uint(out, a.0.into());
             out.push(']');
         }
     }
 }
 
 /// Serialises one gate in the compact wire encoding (shared with the
-/// service protocol's circuit representation).
-pub fn write_gate(out: &mut String, g: &Gate) {
+/// service protocol's circuit representation). `floats` must be the
+/// table of the document `out` holds.
+pub fn write_gate(out: &mut String, floats: &mut FloatTable, g: &Gate) {
     out.push_str("[\"");
     out.push_str(g.mnemonic());
     out.push('"');
     match *g {
         Gate::Rx(q, t) | Gate::Ry(q, t) | Gate::Rz(q, t) => {
             out.push(',');
-            out.push_str(&q.raw().to_string());
+            push_uint(out, q.raw().into());
             out.push(',');
-            out.push_str(&fmt_f64(t));
+            floats.push(out, t);
         }
         Gate::Zz(a, b, t) => {
             out.push(',');
-            out.push_str(&a.raw().to_string());
+            push_uint(out, a.raw().into());
             out.push(',');
-            out.push_str(&b.raw().to_string());
+            push_uint(out, b.raw().into());
             out.push(',');
-            out.push_str(&fmt_f64(t));
+            floats.push(out, t);
         }
         Gate::Cx(a, b) | Gate::Cz(a, b) | Gate::Swap(a, b) => {
             out.push(',');
-            out.push_str(&a.raw().to_string());
+            push_uint(out, a.raw().into());
             out.push(',');
-            out.push_str(&b.raw().to_string());
+            push_uint(out, b.raw().into());
         }
         _ => {
             let q = g.operands().into_iter().next().expect("1Q operand");
             out.push(',');
-            out.push_str(&q.raw().to_string());
+            push_uint(out, q.raw().into());
         }
     }
     out.push(']');
@@ -581,7 +664,7 @@ mod tests {
         ];
         for g in gates {
             let mut out = String::new();
-            write_gate(&mut out, &g);
+            write_gate(&mut out, &mut FloatTable::default(), &g);
             let v = json::parse(&out).unwrap();
             assert_eq!(gate_from_value(&v).unwrap(), g, "gate {g}");
         }
@@ -594,6 +677,83 @@ mod tests {
             Err(WireError::Schema(m)) => assert!(m.contains("warp")),
             other => panic!("expected schema error, got {other:?}"),
         }
+    }
+
+    /// Every float prints as `fmt_f64` prints it, whether its slot holds
+    /// the value, another value, or nothing: the specials repeat in a new
+    /// order each round, `-0.0` follows `0.0`, and between the rounds 600
+    /// distinct values overwrite slots, each written twice so that the
+    /// second copy reads the slot the first one took over.
+    #[test]
+    fn repeated_floats_print_as_fmt_f64() {
+        let specials = [
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            0.1 + 0.2,
+            100.0,
+            -1e-7,
+            1e300,
+            f64::MAX,
+        ];
+        let list = |vs: &[f64]| vs.iter().map(|v| json::fmt_f64(*v)).collect::<Vec<_>>();
+        let mut b = ScheduleBuilder::new(2, 1, 1);
+        let mut stages = Vec::new();
+        for round in 0..4 {
+            let mut order = specials;
+            order.rotate_left(round);
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            let distinct: Vec<f64> = (0..150)
+                .map(|i| (round * 150 + i) as f64 * 0.37 - 50.0)
+                .flat_map(|v| [v, v])
+                .collect();
+            b.move_stage(&order, &distinct);
+            stages.push(format!(
+                r#"{{"kind":"move","row_y":[{}],"col_x":[{}]}}"#,
+                list(&order).join(","),
+                list(&distinct).join(",")
+            ));
+            b.raman(order.iter().map(|&t| Gate::Rz(Qubit::new(0), t)));
+            let gates: Vec<String> = list(&order)
+                .iter()
+                .map(|t| format!(r#"["rz",0,{t}]"#))
+                .collect();
+            stages.push(format!(
+                r#"{{"kind":"raman","gates":[{}]}}"#,
+                gates.join(",")
+            ));
+            order.reverse();
+            b.rydberg(
+                order
+                    .iter()
+                    .map(|&t| RydbergOp::zz(AtomRef::Data(0), AtomRef::Data(1), t)),
+            );
+            let ops: Vec<String> = list(&order)
+                .iter()
+                .map(|t| format!(r#"[["d",0],["d",1],["zz",{t}]]"#))
+                .collect();
+            stages.push(format!(r#"{{"kind":"rydberg","ops":[{}]}}"#, ops.join(",")));
+        }
+        let expected = format!(
+            r#"{{"format":"qpilot.schedule/v1","num_data":2,"num_ancillas":0,"aod_rows":1,"aod_cols":1,"stages":[{}]}}"#,
+            stages.join(",")
+        );
+        let s = b.finish();
+        let json = schedule_to_json(&s);
+        assert_eq!(json, expected);
+        assert!(json.contains("[0,-0,"), "-0.0 keeps its sign after 0.0");
+        assert_eq!(schedule_to_json(&schedule_from_json(&json).unwrap()), json);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn non_finite_float_panics() {
+        let mut b = ScheduleBuilder::new(1, 1, 1);
+        b.move_stage(&[0.5], &[f64::INFINITY]);
+        schedule_to_json(&b.finish());
     }
 
     #[test]

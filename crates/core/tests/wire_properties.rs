@@ -3,7 +3,11 @@
 //! synthetic schedules covering every stage/op/atom/kind combination and
 //! real router-produced schedules, plus byte-identity of the arena
 //! serialiser against the frozen pre-arena writer in `generic_reference`
-//! and the validator's pool-integrity invariant.
+//! and the validator's pool-integrity invariant. Part of every float is
+//! drawn from a small pool, so the writer's repeated-value path is
+//! covered too.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
@@ -28,6 +32,19 @@ enum OwnedStage {
     Rydberg(Vec<RydbergOp>),
 }
 
+/// Floats a schedule draws again and again, both zeros among them.
+const REPEATED_FLOATS: [f64; 6] = [0.0, -0.0, 0.5, -2.25, 10.0, 1e-7];
+
+/// A float from `range` or, as often, from [`REPEATED_FLOATS`], so that
+/// schedules repeat values and the writer copies their text rather than
+/// formatting it again.
+fn arb_f64(range: Range<f64>) -> impl Strategy<Value = f64> {
+    prop_oneof![
+        range,
+        (0..REPEATED_FLOATS.len()).prop_map(|i| REPEATED_FLOATS[i]),
+    ]
+}
+
 fn arb_atom() -> impl Strategy<Value = AtomRef> {
     prop_oneof![
         (0..N).prop_map(AtomRef::Data),
@@ -39,7 +56,7 @@ fn arb_kind() -> impl Strategy<Value = RydbergKind> {
     prop_oneof![
         Just(RydbergKind::Cz),
         prop_oneof![Just(true), Just(false)].prop_map(|target_b| RydbergKind::CxInto { target_b }),
-        (-3.2f64..3.2f64).prop_map(RydbergKind::Zz),
+        arb_f64(-3.2..3.2).prop_map(RydbergKind::Zz),
     ]
 }
 
@@ -49,8 +66,8 @@ fn arb_raman_gate() -> impl Strategy<Value = Gate> {
         q.clone().prop_map(|a| Gate::H(Qubit::new(a))),
         q.clone().prop_map(|a| Gate::X(Qubit::new(a))),
         q.clone().prop_map(|a| Gate::Sdg(Qubit::new(a))),
-        (q.clone(), -3.2f64..3.2f64).prop_map(|(a, t)| Gate::Rz(Qubit::new(a), t)),
-        (q, -3.2f64..3.2f64).prop_map(|(a, t)| Gate::Ry(Qubit::new(a), t)),
+        (q.clone(), arb_f64(-3.2..3.2)).prop_map(|(a, t)| Gate::Rz(Qubit::new(a), t)),
+        (q, arb_f64(-3.2..3.2)).prop_map(|(a, t)| Gate::Ry(Qubit::new(a), t)),
     ]
 }
 
@@ -79,8 +96,8 @@ fn arb_stage() -> impl Strategy<Value = OwnedStage> {
             )
         }),
         (
-            prop::collection::vec(-50.0f64..50.0, 0..5),
-            prop::collection::vec(-50.0f64..50.0, 0..5)
+            prop::collection::vec(arb_f64(-50.0..50.0), 0..5),
+            prop::collection::vec(arb_f64(-50.0..50.0), 0..5)
         )
             .prop_map(|(row_y, col_x)| OwnedStage::Move { row_y, col_x }),
         prop::collection::vec((arb_atom(), arb_atom(), arb_kind()), 0..5).prop_map(|ops| {

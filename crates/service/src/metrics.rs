@@ -2,8 +2,9 @@
 //!
 //! The histograms here cover the serving tier: end-to-end request
 //! latency labelled by serving path, and the service-side pipeline
-//! spans (`parse`, `fingerprint`, `cache_probe`, `store_write`). The
-//! router stage histograms live in [`qpilot_core::obs::ROUTE_STAGES`];
+//! spans (`parse`, `fingerprint`, `cache_probe`, `serialise`,
+//! `store_write`). The router stage histograms live in
+//! [`qpilot_core::obs::ROUTE_STAGES`];
 //! [`render_exposition`] snapshots both registries plus the service
 //! counters once and renders Prometheus **text exposition format
 //! v0.0.4** — the exact bytes served by the `metrics` protocol op and by
@@ -50,14 +51,17 @@ pub static STAGE_PARSE: Histogram = Histogram::new();
 pub static STAGE_FINGERPRINT: Histogram = Histogram::new();
 /// Time spent probing the schedule cache.
 pub static STAGE_CACHE_PROBE: Histogram = Histogram::new();
+/// Time spent serialising a compiled schedule to its canonical JSON.
+pub static STAGE_SERIALISE: Histogram = Histogram::new();
 /// Time spent persisting a compiled schedule to the store.
 pub static STAGE_STORE_WRITE: Histogram = Histogram::new();
 
 /// Every service-side pipeline span, in exposition order.
-pub static SERVICE_STAGES: [(&str, &Histogram); 4] = [
+pub static SERVICE_STAGES: [(&str, &Histogram); 5] = [
     ("parse", &STAGE_PARSE),
     ("fingerprint", &STAGE_FINGERPRINT),
     ("cache_probe", &STAGE_CACHE_PROBE),
+    ("serialise", &STAGE_SERIALISE),
     ("store_write", &STAGE_STORE_WRITE),
 ];
 
@@ -240,7 +244,7 @@ fn render(snap: &Snapshot) -> String {
     push_summary_header(
         &mut out,
         "qpilot_compile_seconds",
-        "Compile wall-clock per executed compilation.",
+        "Compile wall-clock (routing plus serialise) per executed compilation.",
     );
     push_summary_series(&mut out, "qpilot_compile_seconds", "", &snap.compile);
 

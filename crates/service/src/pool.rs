@@ -465,7 +465,10 @@ impl WorkerCtx {
             Err(e) => return Err(ServiceError::Compile(e)),
         };
         let stats = *program.stats();
-        let schedule_json: Arc<str> = schedule_to_json(program.schedule()).into();
+        let schedule_json: Arc<str> = {
+            let _span = obs::Span::start(&crate::metrics::STAGE_SERIALISE);
+            schedule_to_json(program.schedule()).into()
+        };
         let elapsed = started.elapsed();
         let compile_s = elapsed.as_secs_f64();
         let entry = Arc::new(CacheEntry {
@@ -988,6 +991,20 @@ mod tests {
         // Byte identity, and in fact pointer identity.
         assert_eq!(first.entry.schedule_json, second.entry.schedule_json);
         assert!(Arc::ptr_eq(&first.entry, &second.entry));
+    }
+
+    /// A miss times its serialise step into the `serialise` stage. The
+    /// histogram is process-global and other tests record into it too,
+    /// so only growth is asserted.
+    #[test]
+    fn a_miss_records_its_serialise_span() {
+        obs::set_enabled(true);
+        let before = crate::metrics::STAGE_SERIALISE.count();
+        let response = service()
+            .compile(CompileRequest::new(small_circuit(3)))
+            .expect("cold compile");
+        assert!(!response.cache_hit);
+        assert!(crate::metrics::STAGE_SERIALISE.count() > before);
     }
 
     #[test]

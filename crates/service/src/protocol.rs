@@ -79,7 +79,7 @@ use qpilot_core::generic::GenericRouterOptions;
 use qpilot_core::json::{self, json_str, Value};
 use qpilot_core::obs;
 use qpilot_core::qsim::QsimRouterOptions;
-use qpilot_core::wire::{gate_from_value, write_gate};
+use qpilot_core::wire::{gate_from_value, write_gate, FloatTable};
 use qpilot_core::{QaoaOptions, QecOptions, RouterOptions, RouterTag, ScheduleStats, Workload};
 
 use crate::events::{self, Field};
@@ -501,11 +501,12 @@ pub fn circuit_to_value_json(circuit: &Circuit) -> String {
     out.push_str("{\"num_qubits\":");
     out.push_str(&circuit.num_qubits().to_string());
     out.push_str(",\"gates\":[");
+    let mut floats = FloatTable::default();
     for (i, g) in circuit.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_gate(&mut out, g);
+        write_gate(&mut out, &mut floats, g);
     }
     out.push_str("]}");
     out

@@ -22,6 +22,9 @@ use qpilot::core::qsim::{QsimRouter, QsimRouterOptions};
 use qpilot::core::wire::schedule_to_json;
 use qpilot::core::FpqaConfig;
 use qpilot::service::CompileRequest;
+use qpilot::workloads::families;
+use qpilot::workloads::pauli::{random_pauli_strings, PauliWorkloadConfig};
+use qpilot::workloads::random::{random_circuit, RandomCircuitConfig};
 
 fn golden_circuit() -> Circuit {
     let mut c = Circuit::new(4);
@@ -247,4 +250,61 @@ fn options_enum_keeps_families_disjoint() {
         .tag(),
         RouterOptions::from(GenericRouterOptions { stage_cap: Some(2) }).tag(),
     );
+}
+
+// ---------------------------------------------------------------------
+// Wire-byte goldens at the paper's size: generic and qsim schedules
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64-bit over the canonical schedule JSON (the hash
+/// `tests/qaoa_identity.rs` pins the QAOA bytes with).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The canonical schedules of the paper's 100-qubit random circuits
+/// (factor 10), the 32-qubit QFT (whose `Rz` angles are many distinct
+/// floats), and 100 random Pauli strings over 100 qubits at θ = 0.5 are
+/// pinned as `(name, fnv1a-64, byte length)`. The goldens were captured
+/// before the writer learned to format numbers in place; any change to
+/// the writer or to a router that moves one byte moves both numbers.
+#[test]
+fn generic_and_qsim_wire_bytes_match_goldens() {
+    let random =
+        |seed| Workload::circuit(random_circuit(&RandomCircuitConfig::paper(100, 10, seed)));
+    let pauli = random_pauli_strings(&PauliWorkloadConfig::paper(100, 0.1, 1));
+    let goldens = [
+        ("random-100q-seed1", random(1), 0x07128b17f106ac82, 551223),
+        ("random-100q-seed2", random(2), 0xb20b35f7e05172a8, 552222),
+        (
+            "qft-32",
+            Workload::circuit(families::qft(32)),
+            0xf62fb17f5cc292e9,
+            251661,
+        ),
+        (
+            "qsim-100q-p0.1",
+            Workload::pauli_strings(pauli, 0.5),
+            0xf616a8e7b2f57ed6,
+            538791,
+        ),
+    ];
+    for (name, workload, hash, len) in goldens {
+        let program = Compiler::new()
+            .compile(&workload, &workload.config(None))
+            .expect("workload compiles")
+            .into_program();
+        let bytes = schedule_to_json(program.schedule());
+        assert_eq!(bytes.len(), len, "schedule length drifted for {name}");
+        assert_eq!(
+            fnv1a(bytes.as_bytes()),
+            hash,
+            "schedule bytes drifted for {name}"
+        );
+    }
 }
