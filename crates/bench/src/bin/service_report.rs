@@ -131,6 +131,8 @@ struct RestartResult {
     warm_s: f64,
     identical: bool,
     store_loaded: u64,
+    /// The reopened store's recovery pass, as the store timed it.
+    recover_s: f64,
 }
 
 /// Compiles against a persistent store, restarts the service on the same
@@ -160,6 +162,7 @@ fn bench_restart(config: &ServiceConfig, qubits: u32, factor: usize, reps: usize
     // a fresh circuit, exactly like the in-memory warm measurement.
     let service = Service::new(stored);
     let store_loaded = service.stats().store_loaded;
+    let recover_s = service.store_stats().recovery.elapsed.as_secs_f64();
     let mut identical = true;
     let warm_samples: Vec<f64> = (0..reps.max(3))
         .map(|_| {
@@ -181,6 +184,7 @@ fn bench_restart(config: &ServiceConfig, qubits: u32, factor: usize, reps: usize
         warm_s: median(warm_samples),
         identical,
         store_loaded,
+        recover_s,
     }
 }
 
@@ -579,6 +583,10 @@ fn main() {
         restart.identical.to_string(),
     ]);
     table.row(vec![
+        "restart recovery (ms)".into(),
+        format!("{:.4}", restart.recover_s * 1e3),
+    ]);
+    table.row(vec![
         "coalescing compiles".into(),
         format!(
             "{}/{} racers ({} coalesced)",
@@ -658,8 +666,13 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"restart\": {{\"cold_request_s\": {:.9}, \"warm_request_s\": {:.9}, \
-         \"speedup\": {:.3}, \"schedules_identical\": {}, \"store_loaded\": {}}},",
-        restart.cold_s, restart.warm_s, restart_speedup, restart.identical, restart.store_loaded
+         \"speedup\": {:.3}, \"schedules_identical\": {}, \"store_loaded\": {}, \"recover_s\": {:.9}}},",
+        restart.cold_s,
+        restart.warm_s,
+        restart_speedup,
+        restart.identical,
+        restart.store_loaded,
+        restart.recover_s
     );
     let _ = writeln!(
         json,

@@ -7,12 +7,22 @@
 //! `f64`, which is exact for the integers this workspace produces
 //! (`u32` ids, counts) and for every float the writers emit.
 //!
+//! Reading has one tokenizer, the pull [`Reader`]. It owns whitespace,
+//! literals, the number lexer, the string decoder, a validating skip
+//! and the [`MAX_DEPTH`] bound. The schedule decoder in [`crate::wire`]
+//! and the service's request decoder pull from it straight into their
+//! own types, with no tree in between, and strings without escapes are
+//! borrowed from the source. [`parse`] builds a [`Value`] tree on the
+//! same reader for the cold callers: shard merges, the CLI, reports and
+//! tests.
+//!
 //! Writing is canonical: [`fmt_f64`] uses Rust's shortest round-trip
 //! `Display`, object keys keep insertion order, and no whitespace is
 //! emitted. Serialising, parsing and re-serialising any [`Value`] is
 //! byte-identical, which the service relies on for cache-hit byte
 //! equality checks.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed JSON value. Objects preserve key order (insertion order when
@@ -52,12 +62,7 @@ impl Value {
 
     /// The value as `u64` if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(integral)
     }
 
     /// The value as `u32` if it fits.
@@ -173,7 +178,8 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
-/// Error from [`parse`], with a byte offset into the source.
+/// Error from [`parse`] or a [`Reader`], with a byte offset into the
+/// source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// Byte offset of the error.
@@ -190,26 +196,25 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Maximum container nesting [`parse`] accepts. The parser recurses per
-/// level, and daemon connection handlers feed it untrusted network
-/// lines; an unbounded depth would let `[[[[…` overflow the thread
-/// stack and abort the whole process. Every document this workspace
-/// emits nests a handful of levels.
+/// Maximum nesting depth a [`Reader`] accepts: a value more than
+/// `MAX_DEPTH` containers deep is an error, while an empty container at
+/// that depth is not. [`parse`] recurses per level, and daemon connection
+/// handlers feed it untrusted network lines; an unbounded depth would
+/// let `[[[[…` overflow the thread stack and abort the whole process.
+/// Every document this workspace emits nests a handful of levels.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected; containers may nest at most [`MAX_DEPTH`] deep).
 pub fn parse(src: &str) -> Result<Value, JsonError> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing characters"));
-    }
+    let mut reader = Reader::new(src);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
+#[cold]
+#[inline(never)]
 fn err(offset: usize, message: &str) -> JsonError {
     JsonError {
         offset,
@@ -217,182 +222,620 @@ fn err(offset: usize, message: &str) -> JsonError {
     }
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// What the next value is, judged by its first byte. Anything that does
+/// not open a literal, string or container lexes as a number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
+}
+
+/// One value read shallowly by [`Reader::item`]: a scalar with its
+/// payload, or a validated container as its source text, which
+/// [`Item::as_arr`] and [`Item::as_obj`] walk again.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Item<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number.
+    Num(f64),
+    /// A string, borrowed from the source unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// An array's source text.
+    Arr(&'a str),
+    /// An object's source text.
+    Obj(&'a str),
+}
+
+/// A non-negative integral `n` up to 2⁵³ (where `f64` stops being exact).
+fn integral(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
+}
+
+impl<'a> Item<'a> {
+    /// The item as `f64` if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Item::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The item as `u64` if it is a non-negative integral number.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().and_then(integral)
+    }
+
+    /// The item as `u32` if it fits.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|v| u32::try_from(v).ok())
+    }
+
+    /// The item as `usize` if it fits.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|v| usize::try_from(v).ok())
+    }
+
+    /// The item as `&str` if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Item::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The item as a bool if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Item::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// A reader at the array if the item is one.
+    pub fn as_arr(&self) -> Option<Reader<'a>> {
+        match self {
+            Item::Arr(text) => Some(Reader::new(text)),
+            _ => None,
+        }
+    }
+
+    /// A reader at the object if the item is one.
+    pub fn as_obj(&self) -> Option<Reader<'a>> {
+        match self {
+            Item::Obj(text) => Some(Reader::new(text)),
+            _ => None,
+        }
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, JsonError> {
-    skip_ws(bytes, pos);
-    if depth > MAX_DEPTH {
-        return Err(err(*pos, "nesting deeper than 128 levels"));
-    }
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'n') => literal(bytes, pos, "null", Value::Null),
-        Some(b't') => literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(err(*pos, "expected `,` or `]`")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(err(*pos, "expected `:`"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(pairs));
-                    }
-                    _ => return Err(err(*pos, "expected `,` or `}`")),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
+/// A value read by [`Reader::head`], with arrays opened one level.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Head<'a, const N: usize> {
+    /// An array: its length and its first `N` elements (items past the
+    /// length are `Null`).
+    Arr(usize, [Item<'a>; N]),
+    /// Any other value.
+    Other(Item<'a>),
 }
 
-fn literal(bytes: &[u8], pos: &mut usize, text: &str, value: Value) -> Result<Value, JsonError> {
-    if bytes[*pos..].starts_with(text.as_bytes()) {
-        *pos += text.len();
-        Ok(value)
+/// Powers of ten that are exact in an `f64`, up to the most fraction
+/// digits the short-decimal fast path of [`Reader`] takes.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// The value of `-?[0-9]*.?[0-9]*` with 1 to 15 digits, or `None` for
+/// any other text, which `str::parse::<f64>` reads instead. The digits
+/// form an integer below 2⁵³ and the scale is a power of ten exact in an
+/// `f64`, so one division rounds correctly and gives the bits
+/// `str::parse` gives (Clinger's fast path, which it takes too).
+#[inline]
+fn short_decimal(text: &[u8]) -> Option<f64> {
+    let (negative, digits) = match text.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, text),
+    };
+    let (mut mantissa, mut count, mut fraction, mut point) = (0u64, 0usize, 0usize, false);
+    for &b in digits {
+        match b {
+            b'0'..=b'9' if count < 15 => {
+                mantissa = mantissa * 10 + u64::from(b - b'0');
+                count += 1;
+                fraction += usize::from(point);
+            }
+            b'.' if !point => point = true,
+            _ => return None,
+        }
+    }
+    if count == 0 {
+        return None;
+    }
+    let value = if fraction == 0 {
+        mantissa as f64
     } else {
-        Err(err(*pos, "invalid literal"))
-    }
+        mantissa as f64 / POW10[fraction]
+    };
+    Some(if negative { -value } else { value })
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii number chars");
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| err(start, "invalid number"))
+/// A pull reader over one JSON document: the one JSON tokenizer of the
+/// workspace. It owns whitespace, literals, numbers, strings, a
+/// validating [`Reader::skip`] and the [`MAX_DEPTH`] bound, and it
+/// reports every error with the offset and message [`parse`] gives.
+///
+/// The caller drives it value by value: [`Reader::peek`] tells what
+/// comes next; [`Reader::item`] reads a scalar or skips a container;
+/// [`Reader::begin_array`] and [`Reader::next_element`], or
+/// [`Reader::begin_object`] and [`Reader::next_key`], walk a container,
+/// and each element or key's value must be read or skipped before the
+/// next. [`Reader::finish`] rejects trailing characters.
+///
+/// ```
+/// use qpilot_core::json::{Kind, Reader};
+///
+/// let mut r = Reader::new(r#"{"xs":[1,2.5],"tag":"a"}"#);
+/// r.begin_object().unwrap();
+/// let mut sum = 0.0;
+/// while let Some(key) = r.next_key().unwrap() {
+///     if key == "xs" && r.peek().unwrap() == Kind::Arr {
+///         r.begin_array().unwrap();
+///         while r.next_element().unwrap() {
+///             sum += r.item().unwrap().as_f64().unwrap();
+///         }
+///     } else {
+///         r.skip().unwrap();
+///     }
+/// }
+/// r.finish().unwrap();
+/// assert_eq!(sum, 3.5);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    /// Depth of the next value: 0 at the top, one more inside each open
+    /// container.
+    depth: usize,
+    /// A container was just opened, so its first element or key, or its
+    /// close, comes next.
+    opened: bool,
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(err(*pos, "expected string"));
+impl<'a> Reader<'a> {
+    /// A reader at the start of `src`.
+    pub fn new(src: &'a str) -> Reader<'a> {
+        Reader {
+            src,
+            pos: 0,
+            depth: 0,
+            opened: false,
+        }
     }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(err(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+
+    #[inline]
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    /// What the next value is. Fails when the value would sit deeper
+    /// than [`MAX_DEPTH`] or the input ends.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Kind, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
+            return Err(err(self.pos, "nesting deeper than 128 levels"));
+        }
+        Ok(match self.bytes().get(self.pos) {
+            None => return Err(err(self.pos, "unexpected end of input")),
+            Some(b'n') => Kind::Null,
+            Some(b't' | b'f') => Kind::Bool,
+            Some(b'"') => Kind::Str,
+            Some(b'[') => Kind::Arr,
+            Some(b'{') => Kind::Obj,
+            Some(_) => Kind::Num,
+        })
+    }
+
+    /// Opens the array the next value must be.
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.open(Kind::Arr)
+    }
+
+    /// Opens the object the next value must be.
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.open(Kind::Obj)
+    }
+
+    #[inline]
+    fn open(&mut self, kind: Kind) -> Result<(), JsonError> {
+        if self.peek()? != kind {
+            return Err(err(self.pos, "expected a container"));
+        }
+        self.enter();
+        Ok(())
+    }
+
+    /// Steps into the container whose opening byte [`Reader::peek`]
+    /// just found.
+    #[inline]
+    fn enter(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.opened = true;
+    }
+
+    #[inline]
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
+        self.opened = false;
+    }
+
+    /// Moves to the next element of the innermost open array: `true`
+    /// when one follows, `false` once the array has closed.
+    #[inline]
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let next = self.bytes().get(self.pos);
+        if std::mem::take(&mut self.opened) {
+            if next == Some(&b']') {
+                self.close();
+                return Ok(false);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let first = parse_hex4(bytes, pos)?;
-                        let code = if (0xD800..0xDC00).contains(&first) {
-                            // High surrogate: require the paired escape.
-                            if bytes.get(*pos + 1) != Some(&b'\\')
-                                || bytes.get(*pos + 2) != Some(&b'u')
-                            {
-                                return Err(err(*pos, "unpaired surrogate"));
-                            }
-                            *pos += 2;
-                            let second = parse_hex4(bytes, pos)?;
-                            if !(0xDC00..0xE000).contains(&second) {
-                                return Err(err(*pos, "invalid low surrogate"));
-                            }
-                            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                        } else if (0xDC00..0xE000).contains(&first) {
-                            return Err(err(*pos, "unpaired surrogate"));
-                        } else {
-                            first
-                        };
-                        out.push(char::from_u32(code).ok_or_else(|| err(*pos, "bad codepoint"))?);
+            return Ok(true);
+        }
+        match next {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b']') => {
+                self.close();
+                Ok(false)
+            }
+            _ => Err(err(self.pos, "expected `,` or `]`")),
+        }
+    }
+
+    /// The next key of the innermost open object, escapes decoded, or
+    /// `None` once the object has closed. Its value comes next.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.advance_to_key()? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.colon()?;
+        Ok(Some(key))
+    }
+
+    /// Moves past the `{` or `,` before the next key: `false` once the
+    /// object has closed.
+    #[inline]
+    fn advance_to_key(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let next = self.bytes().get(self.pos);
+        if std::mem::take(&mut self.opened) {
+            if next == Some(&b'}') {
+                self.close();
+                return Ok(false);
+            }
+        } else {
+            match next {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.close();
+                    return Ok(false);
+                }
+                _ => return Err(err(self.pos, "expected `,` or `}`")),
+            }
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
+    #[inline]
+    fn colon(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.bytes().get(self.pos) != Some(&b':') {
+            return Err(err(self.pos, "expected `:`"));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads the next value: a scalar as itself, a container validated
+    /// and kept as its source text.
+    #[inline]
+    pub fn item(&mut self) -> Result<Item<'a>, JsonError> {
+        Ok(match self.peek()? {
+            Kind::Null => {
+                self.literal("null")?;
+                Item::Null
+            }
+            Kind::Bool => Item::Bool(self.boolean()?),
+            Kind::Num => Item::Num(self.number()?),
+            Kind::Str => Item::Str(self.string()?),
+            Kind::Arr => Item::Arr(self.skip()?),
+            Kind::Obj => Item::Obj(self.skip()?),
+        })
+    }
+
+    /// Reads the next value with an array opened one level: its length
+    /// and its first `N` elements as items, the rest validated and
+    /// skipped. Any other value comes back as an item.
+    pub fn head<const N: usize>(&mut self) -> Result<Head<'a, N>, JsonError> {
+        if self.peek()? != Kind::Arr {
+            return self.item().map(Head::Other);
+        }
+        self.enter();
+        let mut items = std::array::from_fn(|_| Item::Null);
+        let mut len = 0;
+        while self.next_element()? {
+            match items.get_mut(len) {
+                Some(slot) => *slot = self.item()?,
+                None => {
+                    self.skip()?;
+                }
+            }
+            len += 1;
+        }
+        Ok(Head::Arr(len, items))
+    }
+
+    /// Validates the next value without building it and returns its
+    /// source text.
+    pub fn skip(&mut self) -> Result<&'a str, JsonError> {
+        let kind = self.peek()?;
+        let start = self.pos;
+        match kind {
+            Kind::Null => self.literal("null")?,
+            Kind::Bool => {
+                self.boolean()?;
+            }
+            Kind::Num => {
+                self.number()?;
+            }
+            Kind::Str => {
+                self.pos += 1;
+                self.string_tail(None)?;
+            }
+            Kind::Arr => {
+                self.enter();
+                while self.next_element()? {
+                    self.skip()?;
+                }
+            }
+            Kind::Obj => {
+                self.enter();
+                while self.advance_to_key()? {
+                    if self.bytes().get(self.pos) != Some(&b'"') {
+                        return Err(err(self.pos, "expected string"));
                     }
-                    _ => return Err(err(*pos, "invalid escape")),
+                    self.pos += 1;
+                    self.string_tail(None)?;
+                    self.colon()?;
+                    self.skip()?;
                 }
-                *pos += 1;
             }
-            Some(&b) if b < 0x20 => return Err(err(*pos, "control character in string")),
-            Some(_) => {
-                // Copy the run up to the next `"`, `\` or control byte at
-                // once. It starts and ends at ASCII bytes of a `&str`, so
-                // it is valid UTF-8 on its own.
-                let start = *pos;
-                while bytes
-                    .get(*pos)
-                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
-                {
-                    *pos += 1;
+        }
+        Ok(&self.src[start..self.pos])
+    }
+
+    /// Reads the next value into a [`Value`] tree.
+    pub fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.peek()? {
+            Kind::Arr => {
+                self.enter();
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
                 }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("run of a &str"));
+                Value::Arr(items)
+            }
+            Kind::Obj => {
+                self.enter();
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    pairs.push((key.into_owned(), value));
+                }
+                Value::Obj(pairs)
+            }
+            Kind::Null => {
+                self.literal("null")?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(self.boolean()?),
+            Kind::Num => Value::Num(self.number()?),
+            Kind::Str => Value::Str(self.string()?.into_owned()),
+        })
+    }
+
+    /// Ends the document: only whitespace may follow the value read.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(err(self.pos, "trailing characters"));
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, text: &str) -> Result<(), JsonError> {
+        if self.bytes()[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(())
+        } else {
+            Err(err(self.pos, "invalid literal"))
+        }
+    }
+
+    fn boolean(&mut self) -> Result<bool, JsonError> {
+        let value = self.bytes()[self.pos] == b't';
+        self.literal(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+
+    /// An optional `-`, then the run of `[0-9.eE+-]`, read by
+    /// `str::parse::<f64>`: lenient about `+1`, `.5`, `1.` and `007`, and
+    /// `1e999` reads as infinity, for the schema checks to judge.
+    #[inline]
+    fn number(&mut self) -> Result<f64, JsonError> {
+        let bytes = self.bytes();
+        let start = self.pos;
+        if bytes.get(self.pos) == Some(&b'-') {
+            self.pos += 1;
+        }
+        while self.pos < bytes.len()
+            && matches!(
+                bytes[self.pos],
+                b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'
+            )
+        {
+            self.pos += 1;
+        }
+        match short_decimal(&bytes[start..self.pos]) {
+            Some(value) => Ok(value),
+            None => self.src[start..self.pos]
+                .parse::<f64>()
+                .map_err(|_| err(start, "invalid number")),
+        }
+    }
+
+    /// Reads a string, borrowed from the source when it holds no escape.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.bytes().get(self.pos) != Some(&b'"') {
+            return Err(err(self.pos, "expected string"));
+        }
+        self.pos += 1;
+        let start = self.pos;
+        self.run();
+        if self.bytes().get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.src[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.src[start..self.pos]);
+        self.string_tail(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Moves past the run of bytes up to the next `"`, `\` or control
+    /// byte. It starts and ends at ASCII bytes of a `&str`, so it is
+    /// valid UTF-8 on its own.
+    #[inline]
+    fn run(&mut self) {
+        let rest = &self.bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+    }
+
+    /// Reads the rest of a string through its closing quote, decoding
+    /// escapes and surrogate pairs into `out` when one is given and only
+    /// validating them otherwise.
+    fn string_tail(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
+        let bytes = self.bytes();
+        loop {
+            match bytes.get(self.pos) {
+                None => return Err(err(self.pos, "unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = match bytes.get(self.pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{08}',
+                        Some(b'f') => '\u{0c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'u') => self.unicode_escape()?,
+                        _ => return Err(err(self.pos, "invalid escape")),
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
+                    }
+                    self.pos += 1;
+                }
+                Some(&b) if b < 0x20 => return Err(err(self.pos, "control character in string")),
+                Some(_) => {
+                    let start = self.pos;
+                    self.run();
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push_str(&self.src[start..self.pos]);
+                    }
+                }
             }
         }
     }
-}
 
-/// Parses the 4 hex digits after `\u`; `pos` points at the `u` on entry
-/// and at the final digit on exit.
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
-    let start = *pos + 1;
-    let end = start + 4;
-    if end > bytes.len() {
-        return Err(err(*pos, "truncated \\u escape"));
+    /// Decodes a `\u` escape (a surrogate pair takes two); `pos` points at
+    /// the `u` on entry and at the final hex digit on exit.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let bytes = self.bytes();
+        let first = self.hex4()?;
+        let code = if (0xD800..0xDC00).contains(&first) {
+            // High surrogate: require the paired escape.
+            if bytes.get(self.pos + 1) != Some(&b'\\') || bytes.get(self.pos + 2) != Some(&b'u') {
+                return Err(err(self.pos, "unpaired surrogate"));
+            }
+            self.pos += 2;
+            let second = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&second) {
+                return Err(err(self.pos, "invalid low surrogate"));
+            }
+            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+        } else if (0xDC00..0xE000).contains(&first) {
+            return Err(err(self.pos, "unpaired surrogate"));
+        } else {
+            first
+        };
+        char::from_u32(code).ok_or_else(|| err(self.pos, "bad codepoint"))
     }
-    let text = std::str::from_utf8(&bytes[start..end]).map_err(|_| err(start, "bad hex"))?;
-    let v = u32::from_str_radix(text, 16).map_err(|_| err(start, "bad hex"))?;
-    *pos = end - 1;
-    Ok(v)
+
+    /// Parses the 4 hex digits after `\u`; `pos` points at the `u` on
+    /// entry and at the final digit on exit.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let bytes = self.bytes();
+        let start = self.pos + 1;
+        let end = start + 4;
+        if end > bytes.len() {
+            return Err(err(self.pos, "truncated \\u escape"));
+        }
+        let text = std::str::from_utf8(&bytes[start..end]).map_err(|_| err(start, "bad hex"))?;
+        let v = u32::from_str_radix(text, 16).map_err(|_| err(start, "bad hex"))?;
+        self.pos = end - 1;
+        Ok(v)
+    }
 }
 
 #[cfg(test)]
@@ -465,6 +908,50 @@ mod tests {
         assert!(e.message.contains("nesting"));
         let obj_bomb = "{\"a\":".repeat(5_000);
         assert!(parse(&obj_bomb).is_err());
+    }
+
+    /// The short-decimal fast path gives the bits `str::parse` gives. A
+    /// million strings over the number lexer's alphabet, mostly digits
+    /// with a point and a sign here and there, each read by the reader
+    /// and by `str::parse`: the same value to the bit, or both errors.
+    #[test]
+    fn number_fast_path_matches_str_parse() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut fast, mut total) = (0, 1_000_000);
+        let mut text = String::new();
+        while total > 0 {
+            total -= 1;
+            text.clear();
+            let r = next();
+            if r & 3 == 0 {
+                text.push('-');
+            }
+            for _ in 0..1 + (r >> 2) % 20 {
+                let c = next() % 100;
+                text.push(match c {
+                    0..=84 => char::from(b'0' + (c % 10) as u8),
+                    85..=95 => '.',
+                    96 => '-',
+                    97 => '+',
+                    98 => 'e',
+                    _ => 'E',
+                });
+            }
+            fast += usize::from(short_decimal(text.as_bytes()).is_some());
+            let ours = Reader::new(&text).item().map(|item| item.as_f64());
+            match (ours, text.parse::<f64>()) {
+                (Ok(Some(a)), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits(), "{text}"),
+                (Err(_), Err(_)) => {}
+                (ours, theirs) => panic!("{text}: reader {ours:?}, str::parse {theirs:?}"),
+            }
+        }
+        assert!(fast > 300_000, "only {fast} strings took the fast path");
     }
 
     #[test]

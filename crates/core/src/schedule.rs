@@ -576,6 +576,24 @@ impl ScheduleBuilder {
         })
     }
 
+    /// Wire decoding: appends coordinates to the pool, ahead of the
+    /// [`ScheduleBuilder::close_move`] that makes them a Move stage.
+    pub(crate) fn extend_coords(&mut self, values: impl IntoIterator<Item = f64>) {
+        self.schedule.coords.extend(values);
+    }
+
+    /// Wire decoding: appends a Move stage over the coordinates from pool
+    /// index `start` on, of which the first `rows` are row y's and the
+    /// rest column x's.
+    pub(crate) fn close_move(&mut self, start: usize, rows: usize) -> usize {
+        let (start, mid) = (start as u32, (start + rows) as u32);
+        let end = self.schedule.coords.len() as u32;
+        self.push(Stage::Move {
+            row_y: start..mid,
+            col_x: mid..end,
+        })
+    }
+
     /// Appends a Rydberg stage from an iterator of ops.
     #[inline]
     pub fn rydberg(&mut self, ops: impl IntoIterator<Item = RydbergOp>) -> usize {

@@ -32,12 +32,20 @@
 //! that text for each repeat (a 100-qubit schedule holds ~31k AOD
 //! coordinates drawn from about a hundred values). The bytes are those
 //! of [`json::fmt_f64`].
+//!
+//! The parser, [`schedule_from_json`], decodes without a tree: one pass
+//! of a [`json::Reader`] straight into a [`ScheduleBuilder`], so a
+//! 0.5 MB document holds well under twice its size while it decodes.
+//! It accepts exactly what it writes back: every angle and every Move
+//! coordinate must be finite, since [`schedule_to_json`] cannot write a
+//! non-finite number. [`read_gate`] is the one gate decoder; the service
+//! protocol's circuits use it too.
 
 use std::fmt::{self, Write as _};
 
 use qpilot_circuit::{Gate, Qubit};
 
-use crate::json::{self, Value};
+use crate::json::{self, Head, Item, Kind, Reader};
 use crate::schedule::{
     AncillaId, AtomRef, RydbergKind, RydbergOp, Schedule, ScheduleBuilder, StageRef, TransferOp,
 };
@@ -314,24 +322,33 @@ pub fn write_gate(out: &mut String, floats: &mut FloatTable, g: &Gate) {
     out.push(']');
 }
 
-/// Parses one gate from the compact wire encoding.
-pub fn gate_from_value(v: &Value) -> Result<Gate, WireError> {
-    let items = v.as_arr().ok_or_else(|| schema("gate must be an array"))?;
+/// Reads one gate in the compact wire encoding (shared with the service
+/// protocol's circuit representation).
+///
+/// # Errors
+///
+/// [`WireError::Json`] on malformed JSON, [`WireError::Schema`] on a
+/// value that is not a gate.
+pub fn read_gate(r: &mut Reader<'_>) -> Result<Gate, WireError> {
+    let Head::Arr(len, head) = r.head::<4>()? else {
+        return Err(schema("gate must be an array"));
+    };
+    let items = &head[..len.min(head.len())];
     let name = items
         .first()
-        .and_then(Value::as_str)
+        .and_then(Item::as_str)
         .ok_or_else(|| schema("gate array must start with a mnemonic"))?;
     let qubit = |i: usize| -> Result<Qubit, WireError> {
         items
             .get(i)
-            .and_then(Value::as_u32)
+            .and_then(Item::as_u32)
             .map(Qubit::new)
             .ok_or_else(|| schema(format!("gate `{name}` operand {i} must be a qubit index")))
     };
     let angle = |i: usize| -> Result<f64, WireError> {
         items
             .get(i)
-            .and_then(Value::as_f64)
+            .and_then(Item::as_f64)
             // Non-finite angles (JSON `1e999` overflows to inf) must be
             // rejected here: they would route fine and then panic the
             // canonical serialiser — a remote crash vector for the
@@ -340,10 +357,10 @@ pub fn gate_from_value(v: &Value) -> Result<Gate, WireError> {
             .ok_or_else(|| schema(format!("gate `{name}` needs a finite angle at {i}")))
     };
     let arity = |n: usize| -> Result<(), WireError> {
-        if items.len() != n + 1 {
+        if len != n + 1 {
             return Err(schema(format!(
                 "gate `{name}` expects {n} trailing element(s), got {}",
-                items.len() - 1
+                len - 1
             )));
         }
         Ok(())
@@ -415,163 +432,416 @@ pub fn gate_from_value(v: &Value) -> Result<Gate, WireError> {
 
 /// Parses a `qpilot.schedule/v1` document back into a [`Schedule`].
 ///
+/// The decode is one pass over a [`Reader`] straight into a
+/// [`ScheduleBuilder`], with no tree and no collection per element. It
+/// reads what [`json::parse`] and `Value::get` would: keys in any order,
+/// the first of duplicate keys, unknown keys validated and skipped. The
+/// header is applied when the document closes, so `stages` may come
+/// first, and a stage payload that comes before its `kind` is decoded
+/// from its remembered text. A document with a schema fault is read once
+/// more, without decoding, so that of several faults it reports the
+/// first in check order: a JSON error, then a header fault, then the
+/// first faulty stage. A non-finite Move coordinate is a schema
+/// error, as a non-finite angle is: [`schedule_to_json`] could not
+/// write it back.
+///
 /// # Errors
 ///
 /// [`WireError::Json`] on malformed JSON, [`WireError::Schema`] on a
 /// missing/incompatible format tag or structural mismatch.
 pub fn schedule_from_json(src: &str) -> Result<Schedule, WireError> {
-    schedule_from_value(&json::parse(src)?)
+    let mut builder = ScheduleBuilder::new(0, 0, 0);
+    match read_document(src, Some(&mut builder)) {
+        Ok((num_data, aod_rows, aod_cols, num_ancillas)) => {
+            let mut schedule = builder.finish();
+            schedule.num_data = num_data;
+            schedule.aod_rows = aod_rows;
+            schedule.aod_cols = aod_cols;
+            schedule.num_ancillas = num_ancillas;
+            Ok(schedule)
+        }
+        // The decode stops at the first fault it reads, but the checks
+        // run in a fixed order: the JSON, the header, then the stages. A
+        // validating pass finds any fault an earlier check would report.
+        Err(WireError::Schema(fault)) => {
+            read_document(src, None)?;
+            Err(WireError::Schema(fault))
+        }
+        Err(json) => Err(json),
+    }
 }
 
-/// Parses a schedule from an already-parsed JSON value (used by clients
-/// that receive the schedule embedded in a response object).
-pub fn schedule_from_value(doc: &Value) -> Result<Schedule, WireError> {
-    let format = doc
-        .get("format")
-        .and_then(Value::as_str)
+/// The header keys, in the order the checks read them.
+const HEADER: [&str; 5] = ["format", "num_data", "aod_rows", "aod_cols", "num_ancillas"];
+
+/// Reads a whole document and checks its header: `num_data`,
+/// `aod_rows`, `aod_cols` and `num_ancillas`. The stages are decoded
+/// into `builder`, or with none only validated and skipped.
+fn read_document(
+    src: &str,
+    mut builder: Option<&mut ScheduleBuilder>,
+) -> Result<(u32, usize, usize, u32), WireError> {
+    let mut r = Reader::new(src);
+    let mut header: [Option<Item<'_>>; 5] = Default::default();
+    let mut stages = None;
+    if r.peek()? == Kind::Obj {
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            let slot = HEADER
+                .iter()
+                .position(|k| key == *k)
+                .map(|i| &mut header[i]);
+            match slot {
+                Some(slot @ None) => *slot = Some(r.item()?),
+                None if key == "stages" && stages.is_none() => {
+                    stages = Some(match builder.as_deref_mut() {
+                        Some(builder) => read_stages(&mut r, builder)?,
+                        None => r.skip()?.starts_with('['),
+                    });
+                }
+                _ => {
+                    r.skip()?;
+                }
+            }
+        }
+    } else {
+        r.skip()?;
+    }
+    r.finish()?;
+    let [format, num_data, aod_rows, aod_cols, num_ancillas] = header;
+    let format = format
+        .as_ref()
+        .and_then(Item::as_str)
         .ok_or_else(|| schema("missing `format` tag"))?;
     if format != SCHEDULE_FORMAT {
         return Err(schema(format!(
             "format `{format}` is not `{SCHEDULE_FORMAT}`"
         )));
     }
-    let field_u32 = |k: &str| -> Result<u32, WireError> {
-        doc.get(k)
-            .and_then(Value::as_u32)
-            .ok_or_else(|| schema(format!("missing integer field `{k}`")))
-    };
-    let field_usize = |k: &str| -> Result<usize, WireError> {
-        doc.get(k)
-            .and_then(Value::as_usize)
-            .ok_or_else(|| schema(format!("missing integer field `{k}`")))
-    };
-    let mut builder = ScheduleBuilder::new(
-        field_u32("num_data")?,
-        field_usize("aod_rows")?,
-        field_usize("aod_cols")?,
-    );
-    builder.set_num_ancillas(field_u32("num_ancillas")?);
-    let stages = doc
-        .get("stages")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| schema("missing `stages` array"))?;
-    for stage in stages {
-        push_stage_from_value(&mut builder, stage)?;
+    let missing = |k: &str| schema(format!("missing integer field `{k}`"));
+    let num_data = num_data.as_ref().and_then(Item::as_u32);
+    let num_data = num_data.ok_or_else(|| missing("num_data"))?;
+    let aod_rows = aod_rows.as_ref().and_then(Item::as_usize);
+    let aod_rows = aod_rows.ok_or_else(|| missing("aod_rows"))?;
+    let aod_cols = aod_cols.as_ref().and_then(Item::as_usize);
+    let aod_cols = aod_cols.ok_or_else(|| missing("aod_cols"))?;
+    let num_ancillas = num_ancillas.as_ref().and_then(Item::as_u32);
+    let num_ancillas = num_ancillas.ok_or_else(|| missing("num_ancillas"))?;
+    if stages != Some(true) {
+        return Err(schema("missing `stages` array"));
     }
-    Ok(builder.finish())
+    Ok((num_data, aod_rows, aod_cols, num_ancillas))
 }
 
-fn push_stage_from_value(builder: &mut ScheduleBuilder, v: &Value) -> Result<(), WireError> {
-    let kind = v
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| schema("stage needs a `kind`"))?;
-    match kind {
-        "raman" => {
-            let gates = v
-                .get("gates")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| schema("raman stage needs `gates`"))?;
-            let layer: Vec<Gate> = gates
+/// Decodes the `stages` array into `builder`: `false`, with the value
+/// validated and skipped, when it is not an array.
+fn read_stages(r: &mut Reader<'_>, builder: &mut ScheduleBuilder) -> Result<bool, WireError> {
+    if r.peek()? != Kind::Arr {
+        r.skip()?;
+        return Ok(false);
+    }
+    r.begin_array()?;
+    while r.next_element()? {
+        read_stage(r, builder)?;
+    }
+    Ok(true)
+}
+
+/// A stage's `kind` tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StageKind {
+    Raman,
+    Transfer,
+    Move,
+    Rydberg,
+}
+
+impl StageKind {
+    fn parse(item: &Item<'_>) -> Result<StageKind, WireError> {
+        match item
+            .as_str()
+            .ok_or_else(|| schema("stage needs a `kind`"))?
+        {
+            "raman" => Ok(StageKind::Raman),
+            "transfer" => Ok(StageKind::Transfer),
+            "move" => Ok(StageKind::Move),
+            "rydberg" => Ok(StageKind::Rydberg),
+            other => Err(schema(format!("unknown stage kind `{other}`"))),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            StageKind::Raman => "raman",
+            StageKind::Transfer => "transfer",
+            StageKind::Move => "move",
+            StageKind::Rydberg => "rydberg",
+        }
+    }
+
+    /// The payload keys, in the order they are decoded.
+    fn keys(self) -> &'static [&'static str] {
+        match self {
+            StageKind::Raman => &["gates"],
+            StageKind::Transfer | StageKind::Rydberg => &["ops"],
+            StageKind::Move => &["row_y", "col_x"],
+        }
+    }
+}
+
+/// Every key that is a payload of some stage kind.
+const PAYLOAD_KEYS: [&str; 4] = ["gates", "ops", "row_y", "col_x"];
+
+/// The first occurrence of a payload key in a stage object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payload<'a> {
+    Absent,
+    /// Seen before the stage could decode it: its validated text.
+    Pending(&'a str),
+    Decoded,
+}
+
+/// Decodes one stage object into `builder`. A payload is decoded where it
+/// stands when the stage's `kind` came first and every payload the kind
+/// decodes before it is done; otherwise its text is kept and decoded
+/// when the object closes.
+fn read_stage<'a>(r: &mut Reader<'a>, builder: &mut ScheduleBuilder) -> Result<(), WireError> {
+    if r.peek()? != Kind::Obj {
+        r.skip()?;
+        return Err(schema("stage needs a `kind`"));
+    }
+    r.begin_object()?;
+    let start = builder.pool_lens()[2];
+    let (mut kind, mut rows) = (None, 0);
+    let mut payload = [Payload::Absent; PAYLOAD_KEYS.len()];
+    let mut decode = |r: &mut Reader<'a>, kind: StageKind, key: &str| {
+        let n = read_payload(r, builder, kind, key)?;
+        if key == "row_y" {
+            rows = n;
+        }
+        Ok::<_, WireError>(Payload::Decoded)
+    };
+    while let Some(key) = r.next_key()? {
+        if key == "kind" && kind.is_none() {
+            kind = Some(StageKind::parse(&r.item()?)?);
+            continue;
+        }
+        let slot = PAYLOAD_KEYS.iter().position(|k| key == *k);
+        let Some(i) = slot.filter(|&i| payload[i] == Payload::Absent) else {
+            r.skip()?;
+            continue;
+        };
+        // The kind's next payload still to decode, if this is it.
+        let next = kind.filter(|kind| {
+            let undecoded = kind
+                .keys()
                 .iter()
-                .map(gate_from_value)
-                .collect::<Result<_, _>>()?;
-            builder.raman(layer);
+                .find(|k| payload[payload_index(k)] != Payload::Decoded);
+            undecoded == Some(&PAYLOAD_KEYS[i])
+        });
+        payload[i] = match next {
+            Some(kind) => decode(r, kind, PAYLOAD_KEYS[i])?,
+            None => Payload::Pending(r.skip()?),
+        };
+    }
+    let kind = kind.ok_or_else(|| schema("stage needs a `kind`"))?;
+    for key in kind.keys() {
+        match payload[payload_index(key)] {
+            Payload::Decoded => {}
+            Payload::Pending(text) => {
+                decode(&mut Reader::new(text), kind, key)?;
+            }
+            Payload::Absent => {
+                return Err(schema(format!("{} stage needs `{key}`", kind.name())));
+            }
         }
-        "transfer" => {
-            let ops = v
-                .get("ops")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| schema("transfer stage needs `ops`"))?;
-            let parsed: Vec<TransferOp> =
-                ops.iter()
-                    .map(|op| {
-                        let items = op.as_arr().filter(|a| a.len() == 4).ok_or_else(|| {
-                            schema("transfer op must be [ancilla, row, col, load]")
-                        })?;
-                        Ok(TransferOp {
-                            ancilla: AncillaId(
-                                items[0]
-                                    .as_u32()
-                                    .ok_or_else(|| schema("transfer ancilla id"))?,
-                            ),
-                            row: items[1].as_usize().ok_or_else(|| schema("transfer row"))?,
-                            col: items[2].as_usize().ok_or_else(|| schema("transfer col"))?,
-                            load: items[3]
-                                .as_bool()
-                                .ok_or_else(|| schema("transfer load flag"))?,
-                        })
-                    })
-                    .collect::<Result<_, WireError>>()?;
-            builder.transfer(parsed);
-        }
-        "move" => {
-            let coords = |k: &str| -> Result<Vec<f64>, WireError> {
-                v.get(k)
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| schema(format!("move stage needs `{k}`")))?
-                    .iter()
-                    .map(|x| x.as_f64().ok_or_else(|| schema(format!("{k} entries"))))
-                    .collect()
-            };
-            let (row_y, col_x) = (coords("row_y")?, coords("col_x")?);
-            builder.move_stage(&row_y, &col_x);
-        }
-        "rydberg" => {
-            let ops = v
-                .get("ops")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| schema("rydberg stage needs `ops`"))?;
-            let parsed: Vec<RydbergOp> = ops
-                .iter()
-                .map(|op| {
-                    let items = op
-                        .as_arr()
-                        .filter(|a| a.len() == 3)
-                        .ok_or_else(|| schema("rydberg op must be [atom, atom, kind]"))?;
-                    Ok(RydbergOp {
-                        a: atom_from_value(&items[0])?,
-                        b: atom_from_value(&items[1])?,
-                        kind: kind_from_value(&items[2])?,
-                    })
-                })
-                .collect::<Result<_, WireError>>()?;
-            builder.rydberg(parsed);
-        }
-        other => return Err(schema(format!("unknown stage kind `{other}`"))),
+    }
+    if kind == StageKind::Move {
+        builder.close_move(start, rows);
     }
     Ok(())
 }
 
-fn atom_from_value(v: &Value) -> Result<AtomRef, WireError> {
-    let items = v
-        .as_arr()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| schema("atom must be [tag, index]"))?;
-    let idx = items[1]
+fn payload_index(key: &str) -> usize {
+    PAYLOAD_KEYS
+        .iter()
+        .position(|k| *k == key)
+        .expect("a payload key")
+}
+
+/// Decodes payload `key` of a `kind` stage into `builder` and returns how
+/// many elements it held. Raman gates and Transfer and Rydberg ops make
+/// their stage; Move coordinates go into the pool, and the caller closes
+/// the stage.
+fn read_payload(
+    r: &mut Reader<'_>,
+    builder: &mut ScheduleBuilder,
+    kind: StageKind,
+    key: &str,
+) -> Result<usize, WireError> {
+    let n = match kind {
+        StageKind::Raman => read_array(r, read_gate, |gates| {
+            builder.raman(gates);
+        }),
+        StageKind::Transfer => read_array(r, read_transfer_op, |ops| {
+            builder.transfer(ops);
+        }),
+        StageKind::Rydberg => read_array(r, read_rydberg_op, |ops| {
+            builder.rydberg(ops);
+        }),
+        StageKind::Move => read_array(r, |r| read_coord(r, key), |xs| builder.extend_coords(xs)),
+    }?;
+    n.ok_or_else(|| schema(format!("{} stage needs `{key}`", kind.name())))
+}
+
+/// Decodes the array `r` is at with `read`, handing the elements to
+/// `push` as an iterator that ends at the array's close or at the first
+/// error, and returns how many it decoded. `None`, with the value
+/// validated and skipped, when it is not an array.
+fn read_array<'r, 'a, T, R>(
+    r: &'r mut Reader<'a>,
+    read: R,
+    push: impl FnOnce(&mut Elements<'r, 'a, R>),
+) -> Result<Option<usize>, WireError>
+where
+    R: FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+{
+    if r.peek()? != Kind::Arr {
+        r.skip()?;
+        return Ok(None);
+    }
+    r.begin_array()?;
+    let mut elements = Elements {
+        r,
+        read,
+        decoded: 0,
+        failed: None,
+    };
+    push(&mut elements);
+    elements.failed.map_or(Ok(Some(elements.decoded)), Err)
+}
+
+/// The elements of an open array, decoded one by one; the first error
+/// ends them and is kept in `failed`.
+struct Elements<'r, 'a, R> {
+    r: &'r mut Reader<'a>,
+    read: R,
+    decoded: usize,
+    failed: Option<WireError>,
+}
+
+impl<'a, T, R> Iterator for Elements<'_, 'a, R>
+where
+    R: FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+{
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let next = match self.r.next_element() {
+            Ok(true) => (self.read)(self.r).map(Some),
+            Ok(false) => Ok(None),
+            Err(e) => Err(e.into()),
+        };
+        match next {
+            Ok(element) => {
+                self.decoded += usize::from(element.is_some());
+                element
+            }
+            Err(e) => {
+                self.failed = Some(e);
+                None
+            }
+        }
+    }
+}
+
+fn read_coord(r: &mut Reader<'_>, key: &str) -> Result<f64, WireError> {
+    let x = r
+        .item()?
+        .as_f64()
+        .ok_or_else(|| schema(format!("{key} entries")))?;
+    if !x.is_finite() {
+        return Err(schema(format!("{key} entries must be finite")));
+    }
+    Ok(x)
+}
+
+fn read_transfer_op(r: &mut Reader<'_>) -> Result<TransferOp, WireError> {
+    let Head::Arr(4, [ancilla, row, col, load]) = r.head::<4>()? else {
+        return Err(schema("transfer op must be [ancilla, row, col, load]"));
+    };
+    Ok(TransferOp {
+        ancilla: AncillaId(
+            ancilla
+                .as_u32()
+                .ok_or_else(|| schema("transfer ancilla id"))?,
+        ),
+        row: row.as_usize().ok_or_else(|| schema("transfer row"))?,
+        col: col.as_usize().ok_or_else(|| schema("transfer col"))?,
+        load: load.as_bool().ok_or_else(|| schema("transfer load flag"))?,
+    })
+}
+
+fn read_rydberg_op(r: &mut Reader<'_>) -> Result<RydbergOp, WireError> {
+    let shape = || schema("rydberg op must be [atom, atom, kind]");
+    if r.peek()? != Kind::Arr {
+        r.skip()?;
+        return Err(shape());
+    }
+    r.begin_array()?;
+    // Each element is judged as it is read, but the verdicts are taken
+    // in the order of the checks: the op's length first.
+    let (mut a, mut b, mut kind, mut len) = (None, None, None, 0);
+    while r.next_element()? {
+        match len {
+            0 => a = Some(atom(&r.head()?)),
+            1 => b = Some(atom(&r.head()?)),
+            2 => kind = Some(rydberg_kind(&r.head()?)),
+            _ => {
+                r.skip()?;
+            }
+        }
+        len += 1;
+    }
+    let (3, Some(a), Some(b), Some(kind)) = (len, a, b, kind) else {
+        return Err(shape());
+    };
+    Ok(RydbergOp {
+        a: a?,
+        b: b?,
+        kind: kind?,
+    })
+}
+
+fn atom(part: &Head<'_, 2>) -> Result<AtomRef, WireError> {
+    let Head::Arr(2, [tag, index]) = part else {
+        return Err(schema("atom must be [tag, index]"));
+    };
+    let idx = index
         .as_u32()
         .ok_or_else(|| schema("atom index must be a u32"))?;
-    match items[0].as_str() {
+    match tag.as_str() {
         Some("d") => Ok(AtomRef::Data(idx)),
         Some("a") => Ok(AtomRef::Ancilla(AncillaId(idx))),
         _ => Err(schema("atom tag must be \"d\" or \"a\"")),
     }
 }
 
-fn kind_from_value(v: &Value) -> Result<RydbergKind, WireError> {
-    if v.as_str() == Some("cz") {
+fn rydberg_kind(part: &Head<'_, 2>) -> Result<RydbergKind, WireError> {
+    if matches!(part, Head::Other(Item::Str(s)) if s == "cz") {
         return Ok(RydbergKind::Cz);
     }
-    let items = v
-        .as_arr()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| schema("rydberg kind must be \"cz\", [\"cx\",b] or [\"zz\",t]"))?;
-    match items[0].as_str() {
+    let Head::Arr(2, [tag, value]) = part else {
+        return Err(schema(
+            "rydberg kind must be \"cz\", [\"cx\",b] or [\"zz\",t]",
+        ));
+    };
+    match tag.as_str() {
         Some("cx") => Ok(RydbergKind::CxInto {
-            target_b: items[1].as_bool().ok_or_else(|| schema("cx target flag"))?,
+            target_b: value.as_bool().ok_or_else(|| schema("cx target flag"))?,
         }),
         Some("zz") => Ok(RydbergKind::Zz(
-            items[1]
+            value
                 .as_f64()
                 .filter(|t| t.is_finite())
                 .ok_or_else(|| schema("zz angle must be finite"))?,
@@ -665,8 +935,7 @@ mod tests {
         for g in gates {
             let mut out = String::new();
             write_gate(&mut out, &mut FloatTable::default(), &g);
-            let v = json::parse(&out).unwrap();
-            assert_eq!(gate_from_value(&v).unwrap(), g, "gate {g}");
+            assert_eq!(read_gate(&mut Reader::new(&out)).unwrap(), g, "gate {g}");
         }
     }
 
@@ -746,6 +1015,32 @@ mod tests {
         assert_eq!(json, expected);
         assert!(json.contains("[0,-0,"), "-0.0 keeps its sign after 0.0");
         assert_eq!(schedule_to_json(&schedule_from_json(&json).unwrap()), json);
+    }
+
+    /// A Move coordinate of `1e999` lexes as infinity. The decoder
+    /// rejects it, as it does a non-finite angle: `schedule_to_json`
+    /// panics on a non-finite number, so accepting it would break the
+    /// round trip for every client that re-serialises the schedule.
+    #[test]
+    fn non_finite_move_coordinates_are_rejected() {
+        let head = r#"{"format":"qpilot.schedule/v1","num_data":1,"num_ancillas":0,"aod_rows":1,"aod_cols":1,"stages":"#;
+        for (stage, message) in [
+            (
+                r#"{"kind":"move","row_y":[1e999],"col_x":[0.5]}"#,
+                "row_y entries must be finite",
+            ),
+            (
+                r#"{"kind":"move","row_y":[0.5],"col_x":[-1e999]}"#,
+                "col_x entries must be finite",
+            ),
+        ] {
+            let doc = format!("{head}[{stage}]}}");
+            assert_eq!(
+                schedule_from_json(&doc),
+                Err(WireError::Schema(message.to_string())),
+                "{doc}"
+            );
+        }
     }
 
     #[test]

@@ -190,8 +190,9 @@ fn main() {
         // stderr: stdout is the protocol stream in --stdio mode.
         let stats = service.stats();
         eprintln!(
-            "qpilotd store: recovered {} schedule(s)",
-            stats.store_loaded
+            "qpilotd store: recovered {} schedule(s) in {:.1} ms",
+            stats.store_loaded,
+            stats.store_recover_s * 1e3
         );
     }
     if flags.switch("--stdio") {

@@ -88,7 +88,7 @@ fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
     ));
 }
 
-fn push_gauge(out: &mut String, name: &str, help: &str, value: u64) {
+fn push_gauge(out: &mut String, name: &str, help: &str, value: impl std::fmt::Display) {
     out.push_str(&format!(
         "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
     ));
@@ -221,6 +221,12 @@ fn render(snap: &Snapshot) -> String {
         "qpilot_store_persisted_total",
         "Schedules spilled to the persistent store.",
         stats.store_persisted,
+    );
+    push_gauge(
+        &mut out,
+        "qpilot_store_recovery_seconds",
+        "Wall time of the startup store recovery pass.",
+        fmt_f64(stats.store_recover_s),
     );
     push_gauge(
         &mut out,
@@ -376,6 +382,7 @@ mod tests {
             draining: false,
             store_persisted: 0,
             store_loaded: 0,
+            store_recover_s: 0.0125,
             p50_compile_s: 0.001,
             p90_compile_s: 0.002,
             p99_compile_s: 0.003,
@@ -451,6 +458,18 @@ qpilot_cache_hits_total 1
         for (path, _) in REQUEST_PATHS {
             assert!(text.contains(&format!("path=\"{path}\"")));
         }
+    }
+
+    /// The store recovery time is a gauge in seconds.
+    #[test]
+    fn exposition_reports_store_recovery_time() {
+        let text = render(&Snapshot::capture(
+            zero_stats(),
+            Histogram::new().snapshot(),
+        ));
+        assert!(text.contains(
+            "# TYPE qpilot_store_recovery_seconds gauge\nqpilot_store_recovery_seconds 0.0125\n"
+        ));
     }
 
     /// A series with zero samples emits no quantile rows (there is no

@@ -350,6 +350,9 @@ pub struct ServiceStats {
     pub store_persisted: u64,
     /// Schedules recovered from the persistent store at startup.
     pub store_loaded: u64,
+    /// Wall time of the startup store recovery pass, in seconds (0
+    /// without `--store`).
+    pub store_recover_s: f64,
     /// Median compile wall-clock (seconds), from the compile-latency
     /// histogram.
     pub p50_compile_s: f64,
@@ -937,6 +940,10 @@ impl Service {
             draining: self.shared.draining.load(Ordering::Relaxed),
             store_persisted: ctx.store.as_ref().map_or(0, |s| s.persisted()),
             store_loaded: ctx.store_loaded,
+            store_recover_s: ctx
+                .store
+                .as_ref()
+                .map_or(0.0, |s| s.recovery().elapsed.as_secs_f64()),
             p50_compile_s: secs(0.50),
             p90_compile_s: secs(0.90),
             p99_compile_s: secs(0.99),

@@ -21,7 +21,8 @@
 //!
 //! -> {"op":"store-stats"}
 //! <- {"ok":true,"op":"store-stats","configured":true,"loaded":3,
-//!     "discarded":1,"persisted":2,"removed":0,"entries":5}
+//!     "discarded":1,"persisted":2,"removed":0,"entries":5,…,
+//!     "recover_ms":4.2}
 //!
 //! -> {"op":"metrics"}
 //! <- {"ok":true,"op":"metrics","request_id":"r-1","content_type":
@@ -74,12 +75,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use qpilot_circuit::{Circuit, PauliString};
+use qpilot_circuit::{Circuit, Gate, PauliString};
 use qpilot_core::generic::GenericRouterOptions;
-use qpilot_core::json::{self, json_str, Value};
+use qpilot_core::json::{self, json_str, Head, Item, JsonError, Kind, Reader};
 use qpilot_core::obs;
 use qpilot_core::qsim::QsimRouterOptions;
-use qpilot_core::wire::{gate_from_value, write_gate, FloatTable};
+use qpilot_core::wire::{read_gate, write_gate, FloatTable};
 use qpilot_core::{QaoaOptions, QecOptions, RouterOptions, RouterTag, ScheduleStats, Workload};
 
 use crate::events::{self, Field};
@@ -136,10 +137,81 @@ pub fn next_request_id() -> String {
     format!("r-{:x}", NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed))
 }
 
+/// The top-level keys the request decoder reads.
+const FIELDS: [&str; 24] = [
+    "op",
+    "request_id",
+    "router",
+    "circuit",
+    "qasm",
+    "strings",
+    "theta",
+    "angles",
+    "max_copies",
+    "qubits",
+    "edges",
+    "gamma",
+    "gammas",
+    "beta",
+    "betas",
+    "anchors",
+    "column_extension",
+    "distance",
+    "rounds",
+    "parallel_waves",
+    "stage_cap",
+    "cols",
+    "schedule",
+    "deadline_ms",
+];
+
+/// A request line's top-level fields, collected by one validating pass:
+/// the first occurrence of each key in [`FIELDS`], compared after escape
+/// decoding, read shallowly (a container is kept as its text for the
+/// decoder to walk once more). Other keys are validated and dropped, so
+/// the table has a fixed size whatever the line holds.
+pub(crate) struct Fields<'a> {
+    items: [Option<Item<'a>>; FIELDS.len()],
+}
+
+impl<'a> Fields<'a> {
+    /// Validates `line` as one JSON document and collects its fields; a
+    /// document that is not an object has none.
+    pub(crate) fn read(line: &'a str) -> Result<Fields<'a>, JsonError> {
+        let mut fields = Fields {
+            items: Default::default(),
+        };
+        let mut r = Reader::new(line);
+        if r.peek()? == Kind::Obj {
+            r.begin_object()?;
+            while let Some(key) = r.next_key()? {
+                match FIELDS.iter().position(|k| key == *k) {
+                    Some(i) if fields.items[i].is_none() => fields.items[i] = Some(r.item()?),
+                    _ => {
+                        r.skip()?;
+                    }
+                }
+            }
+        } else {
+            r.skip()?;
+        }
+        r.finish()?;
+        Ok(fields)
+    }
+
+    /// The field `key`, one of [`FIELDS`]. A key whose value is `null`
+    /// is present, as `Value::get` sees it.
+    pub(crate) fn get(&self, key: &str) -> Option<&Item<'a>> {
+        let i = FIELDS.iter().position(|k| *k == key);
+        debug_assert!(i.is_some(), "`{key}` is not one of FIELDS");
+        self.items[i?].as_ref()
+    }
+}
+
 /// Extracts and validates an optional client-supplied `request_id`.
-fn request_id_from(doc: &Value) -> Result<Option<String>, String> {
-    match doc.get("request_id") {
-        None | Some(Value::Null) => Ok(None),
+fn request_id_from(fields: &Fields<'_>) -> Result<Option<String>, String> {
+    match fields.get("request_id") {
+        None | Some(Item::Null) => Ok(None),
         Some(v) => {
             let s = v.as_str().ok_or("`request_id` must be a string")?;
             if s.is_empty() || s.len() > MAX_REQUEST_ID_BYTES {
@@ -154,21 +226,26 @@ fn request_id_from(doc: &Value) -> Result<Option<String>, String> {
 
 /// Parses one request line.
 ///
+/// The line is read twice at most: one validating pass collects its
+/// top-level fields, so a line that is not JSON gets the JSON error
+/// first, and the decoder then walks the fields it needs straight into
+/// the [`Request`]. No JSON tree is built.
+///
 /// # Errors
 ///
 /// A human-readable message destined for an `{"ok":false}` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let doc = json::parse(line).map_err(|e| e.to_string())?;
-    let request_id = request_id_from(&doc)?;
-    parse_request_doc(&doc, request_id)
+    let fields = Fields::read(line).map_err(|e| e.to_string())?;
+    let request_id = request_id_from(&fields)?;
+    parse_request_doc(&fields, request_id)
 }
 
-/// [`parse_request`] over an already-parsed document; `request_id` is
-/// attached to compile requests so it survives coalescing.
-fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request, String> {
+/// [`parse_request`] over a line's fields; `request_id` is attached to
+/// compile requests so it survives coalescing.
+fn parse_request_doc(doc: &Fields<'_>, request_id: Option<String>) -> Result<Request, String> {
     let op = doc
         .get("op")
-        .and_then(Value::as_str)
+        .and_then(Item::as_str)
         .ok_or("request needs a string `op` field")?;
     match op {
         "ping" => Ok(Request::Ping),
@@ -178,7 +255,7 @@ fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request,
         "shutdown" => Ok(Request::Shutdown),
         "compile" => {
             let router = match doc.get("router") {
-                None | Some(Value::Null) => RouterTag::Generic,
+                None | Some(Item::Null) => RouterTag::Generic,
                 Some(v) => match v.as_str().ok_or("`router` must be a string")? {
                     "auto" => sniff_router(doc)?,
                     name => RouterTag::parse(name).ok_or_else(|| {
@@ -199,7 +276,7 @@ fn parse_request_doc(doc: &Value, request_id: Option<String>) -> Result<Request,
                 Some(v) => v.as_bool().ok_or("`schedule` must be a boolean")?,
             };
             let deadline_ms = match doc.get("deadline_ms") {
-                None | Some(Value::Null) => None,
+                None | Some(Item::Null) => None,
                 Some(v) => Some(
                     v.as_u64()
                         .ok_or("`deadline_ms` must be a non-negative integer")?,
@@ -241,7 +318,7 @@ const FAMILY_MARKERS: [(&str, RouterTag); 6] = [
 /// family a fixed priority happened to prefer. A payload with no
 /// marker at all falls through to `generic`, whose parser reports the
 /// missing circuit.
-fn sniff_router(doc: &Value) -> Result<RouterTag, String> {
+fn sniff_router(doc: &Fields<'_>) -> Result<RouterTag, String> {
     let mut inferred: Option<(RouterTag, &str)> = None;
     for (key, tag) in FAMILY_MARKERS {
         if doc.get(key).is_none() {
@@ -262,9 +339,9 @@ fn sniff_router(doc: &Value) -> Result<RouterTag, String> {
 }
 
 /// Parses an optional positive-integer field.
-fn opt_positive(doc: &Value, key: &str) -> Result<Option<usize>, String> {
+fn opt_positive(doc: &Fields<'_>, key: &str) -> Result<Option<usize>, String> {
     match doc.get(key) {
-        None | Some(Value::Null) => Ok(None),
+        None | Some(Item::Null) => Ok(None),
         Some(v) => Ok(Some(
             v.as_usize()
                 .filter(|&c| c > 0)
@@ -276,7 +353,11 @@ fn opt_positive(doc: &Value, key: &str) -> Result<Option<usize>, String> {
 /// Rejects fields belonging to a different router's workload shape —
 /// a typo'd request should fail loudly, not silently compile something
 /// other than what the client meant.
-fn reject_foreign_fields(doc: &Value, router: RouterTag, foreign: &[&str]) -> Result<(), String> {
+fn reject_foreign_fields(
+    doc: &Fields<'_>,
+    router: RouterTag,
+    foreign: &[&str],
+) -> Result<(), String> {
     for key in foreign {
         if doc.get(key).is_some() {
             return Err(format!("`{key}` is not a `{router}` router field"));
@@ -285,9 +366,26 @@ fn reject_foreign_fields(doc: &Value, router: RouterTag, foreign: &[&str]) -> Re
     Ok(())
 }
 
+/// Decodes the elements of an array field: each is read with `read` and
+/// converted with `convert`, up to the first error. The field's text was
+/// validated when the line was read, so `read` cannot fail on it.
+fn elements<'a, E, T>(
+    mut array: Reader<'a>,
+    read: fn(&mut Reader<'a>) -> Result<E, JsonError>,
+    mut convert: impl FnMut(E) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let json = |e: JsonError| e.to_string();
+    let mut out = Vec::new();
+    array.begin_array().map_err(json)?;
+    while array.next_element().map_err(json)? {
+        out.push(convert(read(&mut array).map_err(json)?)?);
+    }
+    Ok(out)
+}
+
 type ParsedWorkload = (Workload, Option<RouterOptions>);
 
-fn generic_workload(doc: &Value) -> Result<ParsedWorkload, String> {
+fn generic_workload(doc: &Fields<'_>) -> Result<ParsedWorkload, String> {
     reject_foreign_fields(doc, RouterTag::Generic, &["strings", "edges", "gammas"])?;
     let options = opt_positive(doc, "stage_cap")?
         .map(|cap| GenericRouterOptions {
@@ -297,19 +395,16 @@ fn generic_workload(doc: &Value) -> Result<ParsedWorkload, String> {
     Ok((Workload::Generic(circuit_from_request(doc)?), options))
 }
 
-fn qsim_workload(doc: &Value) -> Result<ParsedWorkload, String> {
+fn qsim_workload(doc: &Fields<'_>) -> Result<ParsedWorkload, String> {
     reject_foreign_fields(doc, RouterTag::Qsim, &["circuit", "qasm", "edges"])?;
     let strings = doc
         .get("strings")
-        .and_then(Value::as_arr)
+        .and_then(Item::as_arr)
         .ok_or("qsim compile needs a `strings` array of Pauli strings")?;
-    let parsed: Vec<PauliString> = strings
-        .iter()
-        .map(|v| {
-            let s = v.as_str().ok_or("`strings` entries must be strings")?;
-            s.parse::<PauliString>().map_err(|e| e.to_string())
-        })
-        .collect::<Result<_, String>>()?;
+    let parsed: Vec<PauliString> = elements(strings, Reader::item, |v| {
+        let s = v.as_str().ok_or("`strings` entries must be strings")?;
+        s.parse::<PauliString>().map_err(|e| e.to_string())
+    })?;
     let angles: Vec<f64> = match (doc.get("theta"), doc.get("angles")) {
         (Some(_), Some(_)) => return Err("give either `theta` or `angles`, not both".into()),
         (Some(t), None) => {
@@ -318,15 +413,17 @@ fn qsim_workload(doc: &Value) -> Result<ParsedWorkload, String> {
         }
         (None, Some(a)) => {
             let arr = a.as_arr().ok_or("`angles` must be an array of numbers")?;
-            if arr.len() != parsed.len() {
+            let angles = elements(arr, Reader::item, |v| Ok(v.as_f64()))?;
+            if angles.len() != parsed.len() {
                 return Err(format!(
                     "`angles` ({}) must match `strings` ({})",
-                    arr.len(),
+                    angles.len(),
                     parsed.len()
                 ));
             }
-            arr.iter()
-                .map(|v| v.as_f64().ok_or_else(|| "`angles` must be numbers".into()))
+            angles
+                .into_iter()
+                .map(|v| v.ok_or_else(|| "`angles` must be numbers".into()))
                 .collect::<Result<_, String>>()?
         }
         (None, None) => return Err("qsim compile needs `theta` or `angles`".into()),
@@ -347,7 +444,7 @@ fn qsim_workload(doc: &Value) -> Result<ParsedWorkload, String> {
 
 /// Parses an angle list given either a scalar field (`gamma`) or a
 /// plural array field (`gammas`); exactly one may be present.
-fn angle_list(doc: &Value, scalar: &str, plural: &str) -> Result<Option<Vec<f64>>, String> {
+fn angle_list(doc: &Fields<'_>, scalar: &str, plural: &str) -> Result<Option<Vec<f64>>, String> {
     match (doc.get(scalar), doc.get(plural)) {
         (Some(_), Some(_)) => Err(format!("give either `{scalar}` or `{plural}`, not both")),
         (Some(v), None) => {
@@ -358,40 +455,35 @@ fn angle_list(doc: &Value, scalar: &str, plural: &str) -> Result<Option<Vec<f64>
             let arr = v
                 .as_arr()
                 .ok_or(format!("`{plural}` must be an array of numbers"))?;
-            let angles = arr
-                .iter()
-                .map(|x| x.as_f64().ok_or(format!("`{plural}` must be numbers")))
-                .collect::<Result<Vec<f64>, String>>()?;
+            let angles = elements(arr, Reader::item, |x| {
+                x.as_f64()
+                    .ok_or_else(|| format!("`{plural}` must be numbers"))
+            })?;
             Ok(Some(angles))
         }
         (None, None) => Ok(None),
     }
 }
 
-fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
+fn qaoa_workload(doc: &Fields<'_>) -> Result<ParsedWorkload, String> {
     reject_foreign_fields(doc, RouterTag::Qaoa, &["circuit", "qasm", "strings"])?;
     let num_qubits = doc
         .get("qubits")
-        .and_then(Value::as_u32)
+        .and_then(Item::as_u32)
         .filter(|&n| n > 0)
         .ok_or("qaoa compile needs a positive integer `qubits`")?;
     within_wire_limit("qubits", u64::from(num_qubits))?;
     let edges_arr = doc
         .get("edges")
-        .and_then(Value::as_arr)
+        .and_then(Item::as_arr)
         .ok_or("qaoa compile needs an `edges` array of [u, v] pairs")?;
-    let mut edges = Vec::with_capacity(edges_arr.len());
-    for e in edges_arr {
-        let pair = e.as_arr().filter(|p| p.len() == 2);
-        let (a, b) = match pair {
-            Some(p) => match (p[0].as_u32(), p[1].as_u32()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err("`edges` entries must be pairs of qubit indices".into()),
-            },
-            None => return Err("`edges` entries must be two-element arrays".into()),
-        };
-        edges.push((a, b));
-    }
+    let edges = elements(edges_arr, Reader::head::<2>, |e| match e {
+        Head::Arr(2, [a, b]) => match (a.as_u32(), b.as_u32()) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err("`edges` entries must be pairs of qubit indices".into()),
+        },
+        _ => Err("`edges` entries must be two-element arrays".into()),
+    })?;
     let gammas =
         angle_list(doc, "gamma", "gammas")?.ok_or("qaoa compile needs `gamma` or `gammas`")?;
     let betas = angle_list(doc, "beta", "betas")?.unwrap_or_default();
@@ -399,7 +491,7 @@ fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
         return Err("qaoa angles must be finite".into());
     }
     let column_extension = match doc.get("column_extension") {
-        None | Some(Value::Null) => None,
+        None | Some(Item::Null) => None,
         Some(v) => Some(v.as_bool().ok_or("`column_extension` must be a boolean")?),
     };
     let anchor_candidates = opt_positive(doc, "anchors")?;
@@ -420,7 +512,7 @@ fn qaoa_workload(doc: &Value) -> Result<ParsedWorkload, String> {
 /// is absent.
 pub const QEC_DEFAULT_THETA: f64 = std::f64::consts::FRAC_PI_4;
 
-fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
+fn qec_workload(doc: &Fields<'_>) -> Result<ParsedWorkload, String> {
     reject_foreign_fields(
         doc,
         RouterTag::Qec,
@@ -428,13 +520,13 @@ fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
     )?;
     let distance = doc
         .get("distance")
-        .and_then(Value::as_u32)
+        .and_then(Item::as_u32)
         .ok_or("qec compile needs an integer `distance`")?;
     if distance < 2 {
         return Err(format!("qec distance must be at least 2, got {distance}"));
     }
     let rounds = match doc.get("rounds") {
-        None | Some(Value::Null) => 1,
+        None | Some(Item::Null) => 1,
         Some(v) => v
             .as_u32()
             .filter(|&r| r > 0)
@@ -444,14 +536,14 @@ fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
     within_wire_limit("distance", checks)?;
     within_wire_limit("rounds", checks * u64::from(rounds))?;
     let theta = match doc.get("theta") {
-        None | Some(Value::Null) => QEC_DEFAULT_THETA,
+        None | Some(Item::Null) => QEC_DEFAULT_THETA,
         Some(v) => v.as_f64().ok_or("`theta` must be a number")?,
     };
     if !theta.is_finite() {
         return Err("qec theta must be finite".into());
     }
     let options = match doc.get("parallel_waves") {
-        None | Some(Value::Null) => None,
+        None | Some(Item::Null) => None,
         Some(v) => Some(RouterOptions::Qec(QecOptions {
             parallel_waves: Some(v.as_bool().ok_or("`parallel_waves` must be a boolean")?),
         })),
@@ -461,10 +553,10 @@ fn qec_workload(doc: &Value) -> Result<ParsedWorkload, String> {
 
 /// Extracts the circuit from a compile request: either an inline
 /// `"circuit"` object or a `"qasm"` source string (exactly one).
-fn circuit_from_request(doc: &Value) -> Result<Circuit, String> {
+fn circuit_from_request(doc: &Fields<'_>) -> Result<Circuit, String> {
     let (field, circuit) = match (doc.get("circuit"), doc.get("qasm")) {
         (Some(_), Some(_)) => return Err("give either `circuit` or `qasm`, not both".into()),
-        (Some(c), None) => ("num_qubits", circuit_from_value(c)?),
+        (Some(c), None) => ("num_qubits", read_circuit(c)?),
         (None, Some(q)) => {
             let src = q.as_str().ok_or("`qasm` must be a string")?;
             ("qasm", Circuit::from_qasm(src).map_err(|e| e.to_string())?)
@@ -475,27 +567,74 @@ fn circuit_from_request(doc: &Value) -> Result<Circuit, String> {
     Ok(circuit)
 }
 
-/// Parses the wire circuit object `{"num_qubits":N,"gates":[…]}` (gates
-/// in the compact encoding shared with `qpilot_core::wire`).
-pub fn circuit_from_value(v: &Value) -> Result<Circuit, String> {
-    let n = v
-        .get("num_qubits")
-        .and_then(Value::as_u32)
-        .ok_or("circuit needs integer `num_qubits`")?;
-    let gates = v
-        .get("gates")
-        .and_then(Value::as_arr)
-        .ok_or("circuit needs a `gates` array")?;
-    let mut circuit = Circuit::new(n);
-    for g in gates {
-        let gate = gate_from_value(g).map_err(|e| e.to_string())?;
+const NEEDS_QUBITS: &str = "circuit needs integer `num_qubits`";
+const NEEDS_GATES: &str = "circuit needs a `gates` array";
+
+/// Decodes the wire circuit object `{"num_qubits":N,"gates":[…]}` (gates
+/// in the compact encoding of [`read_gate`]) in one walk over its text.
+/// Gates go straight into the circuit once `num_qubits` is known. Gates
+/// that come before it are collected and pushed when the object closes,
+/// and their first fault waits too, since `num_qubits` is checked first.
+fn read_circuit(item: &Item<'_>) -> Result<Circuit, String> {
+    let json = |e: JsonError| e.to_string();
+    let mut r = item.as_obj().ok_or(NEEDS_QUBITS)?;
+    let (mut circuit, mut early, mut gates) = (None, Vec::new(), None);
+    r.begin_object().map_err(json)?;
+    while let Some(key) = r.next_key().map_err(json)? {
+        if key == "num_qubits" && circuit.is_none() {
+            let n = r.item().map_err(json)?.as_u32().ok_or(NEEDS_QUBITS)?;
+            circuit = Some(Circuit::new(n));
+        } else if key == "gates" && gates.is_none() {
+            let read = read_gates(&mut r, circuit.as_mut(), &mut early);
+            gates = Some(match circuit {
+                Some(_) => read.map(|()| Ok(()))?,
+                None => read,
+            });
+        } else {
+            r.skip().map_err(json)?;
+        }
+    }
+    let mut circuit = circuit.ok_or(NEEDS_QUBITS)?;
+    for gate in early {
         circuit.push(gate).map_err(|e| e.to_string())?;
     }
+    gates.unwrap_or_else(|| Err(NEEDS_GATES.into()))?;
     Ok(circuit)
 }
 
-/// Serialises a circuit into the wire object (the inverse of
-/// [`circuit_from_value`]).
+/// Walks a `gates` array up to its first fault, pushing each gate into
+/// `circuit`, or into `early` while there is none, and skips the rest.
+fn read_gates(
+    r: &mut Reader<'_>,
+    mut circuit: Option<&mut Circuit>,
+    early: &mut Vec<Gate>,
+) -> Result<(), String> {
+    let json = |e: JsonError| e.to_string();
+    if r.peek().map_err(json)? != Kind::Arr {
+        r.skip().map_err(json)?;
+        return Err(NEEDS_GATES.into());
+    }
+    r.begin_array().map_err(json)?;
+    let mut fault = Ok(());
+    while r.next_element().map_err(json)? {
+        if fault.is_err() {
+            r.skip().map_err(json)?;
+            continue;
+        }
+        let gate = read_gate(r).map_err(|e| e.to_string());
+        fault = gate.and_then(|gate| match circuit.as_deref_mut() {
+            Some(circuit) => circuit.push(gate).map_err(|e| e.to_string()),
+            None => {
+                early.push(gate);
+                Ok(())
+            }
+        });
+    }
+    fault
+}
+
+/// Serialises a circuit into the wire object that a compile request's
+/// `"circuit"` field carries.
 pub fn circuit_to_value_json(circuit: &Circuit) -> String {
     let mut out = String::with_capacity(24 + circuit.len() * 12);
     out.push_str("{\"num_qubits\":");
@@ -798,11 +937,11 @@ pub fn render_metrics_response(service: &Service, request_id: &str) -> String {
 }
 
 /// Renders a store-stats response line: the startup recovery report
-/// (blobs loaded / discarded) plus lifetime persist/unlink
-/// counters. `configured` is `false` when the daemon runs without
+/// (blobs loaded / discarded, and `recover_ms`, the pass's wall time)
+/// plus lifetime persist/unlink counters. `configured` is `false` when the daemon runs without
 /// `--store` (all counters zero).
 pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> String {
-    let mut out = String::with_capacity(224);
+    let mut out = String::with_capacity(256);
     out.push_str("{\"ok\":true,\"op\":\"store-stats\",\"request_id\":");
     out.push_str(&json_str(request_id));
     out.push_str(",\"configured\":");
@@ -821,6 +960,10 @@ pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> Stri
     out.push_str(&stats.bytes.to_string());
     out.push_str(",\"size_evictions\":");
     out.push_str(&stats.size_evictions.to_string());
+    out.push_str(",\"recover_ms\":");
+    out.push_str(&json::fmt_f64(round6(
+        stats.recovery.elapsed.as_secs_f64() * 1e3,
+    )));
     out.push('}');
     out
 }
@@ -896,14 +1039,15 @@ pub struct Handled {
 pub fn handle_line(service: &Service, line: &str) -> Handled {
     let line = line.trim();
     let started = Instant::now();
-    // The parse span covers JSON decoding plus request construction; the
-    // error branch keeps any client id that survived far enough to read.
+    // The parse span covers the validating pass plus request decoding;
+    // the error branch keeps any client id that survived far enough to
+    // read.
     let parsed: Result<(Request, Option<String>), (String, Option<String>)> = {
         let _span = obs::Span::start(&crate::metrics::STAGE_PARSE);
         if line.is_empty() {
             Err(("empty request line".to_string(), None))
         } else {
-            match json::parse(line) {
+            match Fields::read(line) {
                 Err(e) => Err((e.to_string(), None)),
                 Ok(doc) => match request_id_from(&doc) {
                     Err(message) => Err((message, None)),
@@ -999,6 +1143,7 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
 mod tests {
     use super::*;
     use crate::pool::ServiceConfig;
+    use qpilot_core::json::Value;
 
     fn service() -> Service {
         Service::new(ServiceConfig {
@@ -1015,7 +1160,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).rz(2, -0.5).zz(1, 2, 0.25).swap(0, 2);
         let encoded = circuit_to_value_json(&c);
-        let back = circuit_from_value(&json::parse(&encoded).unwrap()).unwrap();
+        let back = read_circuit(&Item::Obj(&encoded)).unwrap();
         assert_eq!(back, c);
     }
 
@@ -1301,7 +1446,28 @@ mod tests {
         assert_eq!(doc.get("op").and_then(Value::as_str), Some("store-stats"));
         assert_eq!(doc.get("configured").and_then(Value::as_bool), Some(false));
         assert_eq!(doc.get("loaded").and_then(Value::as_u64), Some(0));
+        assert_eq!(doc.get("recover_ms").and_then(Value::as_f64), Some(0.0));
         assert!(!handled.shutdown);
+        // `recover_ms` is appended after every older field.
+        let Value::Obj(fields) = &doc else {
+            panic!("not an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys[keys.len() - 2..], ["size_evictions", "recover_ms"]);
+        let stats = StoreStats {
+            configured: true,
+            recovery: crate::store::RecoveryReport {
+                loaded: 4,
+                discarded: 0,
+                elapsed: std::time::Duration::from_micros(17_250),
+            },
+            ..StoreStats::default()
+        };
+        let line = render_store_stats_response(&stats, "r-1");
+        assert!(
+            line.ends_with(r#""loaded":4,"discarded":0,"persisted":0,"removed":0,"entries":0,"bytes":0,"size_evictions":0,"recover_ms":17.25}"#),
+            "{line}"
+        );
     }
 
     #[test]
@@ -1384,6 +1550,650 @@ mod tests {
             r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]]}}"#,
         );
         assert!(ok.response.starts_with("{\"ok\":true"));
+    }
+
+    /// What the decision table pins of an accepted request: the router,
+    /// the fingerprint (the workload and its options), the options, and
+    /// the envelope fields.
+    fn summary(request: &Request) -> String {
+        match request {
+            Request::Compile {
+                request,
+                include_schedule,
+            } => format!(
+                "{} {} {:?} cols={:?} deadline={:?} rid={:?} schedule={}",
+                request.router(),
+                request.fingerprint(),
+                request.options,
+                request.cols,
+                request.deadline_ms,
+                request.request_id,
+                include_schedule
+            ),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The request decoder's decisions, pinned row by row: for each line,
+    /// the accepted request's summary or the exact error text. The table
+    /// was captured from the `Value`-tree decoder that the reader-based
+    /// one replaced, and every row reads the same on both. It covers keys
+    /// out of order, duplicate keys (the first wins), escaped keys,
+    /// whitespace, unknown nested keys, lenient numbers, the depth edge,
+    /// a `null` family marker under `router:"auto"`, JSON errors, and one
+    /// row for each message a single fault reaches.
+    #[test]
+    fn request_decode_decisions_match_the_table() {
+        let rows: Vec<(&str, String, Result<&str, &str>)> = vec![
+            (
+                r#"ping"#,
+                r#"{"op":"ping"}"#.to_string(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"generic"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"cols":2,"stage_cap":3,"schedule":false,"deadline_ms":150,"request_id":"a1"}"#.to_string(),
+                Ok(r#"generic 36b66e7205f9bee41d2d392335b6cd28 Some(Generic(GenericRouterOptions { stage_cap: Some(3) })) cols=Some(2) deadline=Some(150) rid=Some("a1") schedule=false"#),
+            ),
+            (
+                r#"gates before num_qubits"#,
+                r#"{"op":"compile","circuit":{"gates":[["cz",0,1],["rz",1,0.5]],"num_qubits":2}}"#.to_string(),
+                Ok(r#"generic 83be2e7e75e2a0a261fba1cfcb220c74 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"circuit before op"#,
+                r#"{"circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"op":"compile"}"#.to_string(),
+                Ok(r#"generic 83be2e7e75e2a0a261fba1cfcb220c74 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"duplicate op, first wins"#,
+                r#"{"op":"ping","op":"compile"}"#.to_string(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"duplicate circuit, first wins"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"circuit":5}"#.to_string(),
+                Ok(r#"generic 83be2e7e75e2a0a261fba1cfcb220c74 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"duplicate num_qubits, first wins"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]],"num_qubits":"x"}}"#.to_string(),
+                Ok(r#"generic 8fbf82d59ce5bdeab186d3ed4e2fcd5e None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"duplicate gates, first wins"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1]],"gates":[["q"]]}}"#.to_string(),
+                Ok(r#"generic 8fbf82d59ce5bdeab186d3ed4e2fcd5e None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"duplicate gates, first is bad"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]],"gates":[["cz",0,1]]}}"#.to_string(),
+                Err(r#"schedule schema error: unknown gate mnemonic `q`"#),
+            ),
+            (
+                r#"escaped op key"#,
+                r#"{"\u006fp":"ping"}"#.to_string(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"escaped keys in circuit"#,
+                r#"{"op":"compile","circ\u0075it":{"num\u005fqubits":2,"g\u0061tes":[["cz",0,1]]}}"#.to_string(),
+                Ok(r#"generic 8fbf82d59ce5bdeab186d3ed4e2fcd5e None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"escaped value"#,
+                r#"{"op":"p\u0069ng"}"#.to_string(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"whitespace everywhere"#,
+                " { \"op\" : \"compile\" , \"circuit\" : { \"num_qubits\" : 2 , \"gates\" : [ [ \"cz\" , 0 , 1 ] ,\n\t[ \"rz\" , 1 , 0.5 ] ] } , \"cols\" : 2 }\r\n".to_string(),
+                Ok(r#"generic 83be2e7e75e2a0a261fba1cfcb220c74 None cols=Some(2) deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"unknown nested keys"#,
+                r#"{"op":"compile","x":{"a":[1,{"b":null}]},"circuit":{"y":[[]],"num_qubits":2,"gates":[["cz",0,1]]}}"#.to_string(),
+                Ok(r#"generic 8fbf82d59ce5bdeab186d3ed4e2fcd5e None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"lenient integers"#,
+                r#"{"op":"compile","circuit":{"num_qubits":+3,"gates":[["cz",0.,002]]},"cols":2e0}"#.to_string(),
+                Ok(r#"generic e38ebcd3b8579794ab2d0fa611edbb68 None cols=Some(2) deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"lenient floats"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":.5}"#.to_string(),
+                Ok(r#"qsim 9e7347146732261042e159348d8dff52 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"1e999 gate angle"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["rz",0,1e999]]}}"#.to_string(),
+                Err(r#"schedule schema error: gate `rz` needs a finite angle at 2"#),
+            ),
+            (
+                r#"1e999 qsim theta"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":1e999}"#.to_string(),
+                Err(r#"qsim angles must be finite"#),
+            ),
+            (
+                r#"-1e999 gamma"#,
+                r#"{"op":"compile","router":"qaoa","qubits":2,"edges":[[0,1]],"gamma":-1e999}"#.to_string(),
+                Err(r#"qaoa angles must be finite"#),
+            ),
+            (
+                r#"128 nested [] in an ignored key"#,
+                [r#"{"op":"ping","x":"#, &r#"["#.repeat(128), &r#"]"#.repeat(128), r#"}"#].concat(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"128 nested arrays around 1 in an ignored key"#,
+                [r#"{"op":"ping","x":"#, &r#"["#.repeat(128), r#"1"#, &r#"]"#.repeat(128), r#"}"#].concat(),
+                Err(r#"json error at byte 145: nesting deeper than 128 levels"#),
+            ),
+            (
+                r#"deep nesting inside circuit"#,
+                [r#"{"op":"compile","circuit":{"num_qubits":2,"x":"#, &r#"["#.repeat(126), &r#"]"#.repeat(126), r#","gates":[["cz",0,1]]}}"#].concat(),
+                Ok(r#"generic 8fbf82d59ce5bdeab186d3ed4e2fcd5e None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"too deep inside circuit"#,
+                [r#"{"op":"compile","circuit":{"num_qubits":2,"x":"#, &r#"["#.repeat(127), r#"1"#, &r#"]"#.repeat(127), r#","gates":[["cz",0,1]]}}"#].concat(),
+                Err(r#"json error at byte 173: nesting deeper than 128 levels"#),
+            ),
+            (
+                r#"null marker under auto"#,
+                r#"{"op":"compile","router":"auto","strings":null,"circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]}}"#.to_string(),
+                Err(r#"ambiguous `auto` compile: `circuit` implies the `generic` router but `strings` implies `qsim`"#),
+            ),
+            (
+                r#"null router"#,
+                r#"{"op":"compile","router":null,"circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]}}"#.to_string(),
+                Ok(r#"generic 83be2e7e75e2a0a261fba1cfcb220c74 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"auto qsim"#,
+                r#"{"op":"compile","router":"auto","theta":0.5,"strings":["ZZ"]}"#.to_string(),
+                Ok(r#"qsim 9e7347146732261042e159348d8dff52 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"not JSON, early fields invalid"#,
+                r#"{"op":5,"request_id":7,"circuit":{]"#.to_string(),
+                Err(r#"json error at byte 34: expected string"#),
+            ),
+            (
+                r#"not JSON"#,
+                r#"not json"#.to_string(),
+                Err(r#"json error at byte 0: invalid literal"#),
+            ),
+            (
+                r#"not an object"#,
+                r#"[1,2]"#.to_string(),
+                Err(r#"request needs a string `op` field"#),
+            ),
+            (
+                r#"not an object, string"#,
+                r#""ping""#.to_string(),
+                Err(r#"request needs a string `op` field"#),
+            ),
+            (
+                r#"missing op"#,
+                r#"{"request_id":"x"}"#.to_string(),
+                Err(r#"request needs a string `op` field"#),
+            ),
+            (
+                r#"op not a string"#,
+                r#"{"op":["ping"]}"#.to_string(),
+                Err(r#"request needs a string `op` field"#),
+            ),
+            (
+                r#"unknown op"#,
+                r#"{"op":"warp"}"#.to_string(),
+                Err(r#"unknown op `warp`"#),
+            ),
+            (
+                r#"request_id not a string"#,
+                r#"{"op":"ping","request_id":7}"#.to_string(),
+                Err(r#"`request_id` must be a string"#),
+            ),
+            (
+                r#"request_id too long"#,
+                [r#"{"op":"ping","request_id":""#, &r#"x"#.repeat(129), r#""}"#].concat(),
+                Err(r#"`request_id` must be 1..=128 bytes"#),
+            ),
+            (
+                r#"request_id empty"#,
+                r#"{"op":"ping","request_id":""}"#.to_string(),
+                Err(r#"`request_id` must be 1..=128 bytes"#),
+            ),
+            (
+                r#"request_id null"#,
+                r#"{"op":"ping","request_id":null}"#.to_string(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"router not a string"#,
+                r#"{"op":"compile","router":5,"circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]}}"#.to_string(),
+                Err(r#"`router` must be a string"#),
+            ),
+            (
+                r#"unknown router"#,
+                r#"{"op":"compile","router":"warp","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]}}"#.to_string(),
+                Err(r#"unknown router `warp` (auto|generic|qsim|qaoa|qec)"#),
+            ),
+            (
+                r#"ambiguous auto"#,
+                r#"{"op":"compile","router":"auto","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"distance":3}"#.to_string(),
+                Err(r#"ambiguous `auto` compile: `circuit` implies the `generic` router but `distance` implies `qec`"#),
+            ),
+            (
+                r#"cols zero"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"cols":0}"#.to_string(),
+                Err(r#"`cols` must be a positive integer"#),
+            ),
+            (
+                r#"cols too large"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"cols":70000}"#.to_string(),
+                Err(r#"`cols` implies a size of 70000, over the limit of 65536"#),
+            ),
+            (
+                r#"schedule not bool"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"schedule":1}"#.to_string(),
+                Err(r#"`schedule` must be a boolean"#),
+            ),
+            (
+                r#"schedule null"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"schedule":null}"#.to_string(),
+                Err(r#"`schedule` must be a boolean"#),
+            ),
+            (
+                r#"deadline_ms string"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"deadline_ms":"soon"}"#.to_string(),
+                Err(r#"`deadline_ms` must be a non-negative integer"#),
+            ),
+            (
+                r#"deadline_ms null"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"deadline_ms":null}"#.to_string(),
+                Ok(r#"generic 83be2e7e75e2a0a261fba1cfcb220c74 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"generic foreign field"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"edges":[[0,1]]}"#.to_string(),
+                Err(r#"`edges` is not a `generic` router field"#),
+            ),
+            (
+                r#"stage_cap zero"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"stage_cap":0}"#.to_string(),
+                Err(r#"`stage_cap` must be a positive integer"#),
+            ),
+            (
+                r#"circuit and qasm"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,1],["rz",1,0.5]]},"qasm":"qreg q[2];"}"#.to_string(),
+                Err(r#"give either `circuit` or `qasm`, not both"#),
+            ),
+            (
+                r#"no circuit"#,
+                r#"{"op":"compile"}"#.to_string(),
+                Err(r#"compile needs a `circuit` object or `qasm` string"#),
+            ),
+            (
+                r#"qasm not a string"#,
+                r#"{"op":"compile","qasm":5}"#.to_string(),
+                Err(r#"`qasm` must be a string"#),
+            ),
+            (
+                r#"qasm error"#,
+                r#"{"op":"compile","qasm":"qreg q[1]; frobnicate q[0];"}"#.to_string(),
+                Err(r#"unsupported qasm construct on line 1: frobnicate"#),
+            ),
+            (
+                r#"qasm ok"#,
+                r#"{"op":"compile","qasm":"OPENQASM 2.0;\nqreg q[2];\ncz q[0], q[1];"}"#.to_string(),
+                Ok(r#"generic 8fbf82d59ce5bdeab186d3ed4e2fcd5e None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qasm too wide"#,
+                r#"{"op":"compile","qasm":"qreg q[70000];"}"#.to_string(),
+                Err(r#"`qasm` implies a size of 70000, over the limit of 65536"#),
+            ),
+            (
+                r#"circuit not an object"#,
+                r#"{"op":"compile","circuit":[2]}"#.to_string(),
+                Err(r#"circuit needs integer `num_qubits`"#),
+            ),
+            (
+                r#"circuit without num_qubits"#,
+                r#"{"op":"compile","circuit":{"gates":[]}}"#.to_string(),
+                Err(r#"circuit needs integer `num_qubits`"#),
+            ),
+            (
+                r#"num_qubits negative"#,
+                r#"{"op":"compile","circuit":{"num_qubits":-2,"gates":[]}}"#.to_string(),
+                Err(r#"circuit needs integer `num_qubits`"#),
+            ),
+            (
+                r#"circuit without gates"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2}}"#.to_string(),
+                Err(r#"circuit needs a `gates` array"#),
+            ),
+            (
+                r#"gates not an array"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":"cz 0 1"}}"#.to_string(),
+                Err(r#"circuit needs a `gates` array"#),
+            ),
+            (
+                r#"gates not an array, before num_qubits"#,
+                r#"{"op":"compile","circuit":{"gates":"cz 0 1","num_qubits":2}}"#.to_string(),
+                Err(r#"circuit needs a `gates` array"#),
+            ),
+            (
+                r#"gate not an array"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":["cz"]}}"#.to_string(),
+                Err(r#"schedule schema error: gate must be an array"#),
+            ),
+            (
+                r#"gate arity"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["h",0,1]]}}"#.to_string(),
+                Err(r#"schedule schema error: gate `h` expects 1 trailing element(s), got 2"#),
+            ),
+            (
+                r#"gate qubit out of range"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,2]]}}"#.to_string(),
+                Err(r#"qubit q2 out of range for circuit of 2 qubits"#),
+            ),
+            (
+                r#"gate duplicate operands"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,0]]}}"#.to_string(),
+                Err(r#"two-qubit gate uses qubit q0 for both operands"#),
+            ),
+            (
+                r#"gate out of range, gates first"#,
+                r#"{"op":"compile","circuit":{"gates":[["cz",0,2]],"num_qubits":2}}"#.to_string(),
+                Err(r#"qubit q2 out of range for circuit of 2 qubits"#),
+            ),
+            (
+                r#"num_qubits too wide"#,
+                r#"{"op":"compile","circuit":{"num_qubits":70000,"gates":[]}}"#.to_string(),
+                Err(r#"`num_qubits` implies a size of 70000, over the limit of 65536"#),
+            ),
+            (
+                r#"qsim"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZII","IXXI"],"theta":0.5,"max_copies":2}"#.to_string(),
+                Ok(r#"qsim 08bb86e490ed5f82a480be259f3926e7 Some(Qsim(QsimRouterOptions { max_copies: Some(2) })) cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qsim angles"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ","XX"],"angles":[0.25,-0.5]}"#.to_string(),
+                Ok(r#"qsim 313739cfd3bb9264a75b4c6ae0944882 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qsim foreign"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":0.5,"qasm":"qreg q[2];"}"#.to_string(),
+                Err(r#"`qasm` is not a `qsim` router field"#),
+            ),
+            (
+                r#"qsim no strings"#,
+                r#"{"op":"compile","router":"qsim","theta":0.5}"#.to_string(),
+                Err(r#"qsim compile needs a `strings` array of Pauli strings"#),
+            ),
+            (
+                r#"qsim strings entry"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ",1],"theta":0.5}"#.to_string(),
+                Err(r#"`strings` entries must be strings"#),
+            ),
+            (
+                r#"qsim bad pauli"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZQ"],"theta":0.5}"#.to_string(),
+                Err(r#"invalid pauli character 'Q'"#),
+            ),
+            (
+                r#"qsim theta and angles"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":0.5,"angles":[0.5]}"#.to_string(),
+                Err(r#"give either `theta` or `angles`, not both"#),
+            ),
+            (
+                r#"qsim theta string"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":"half"}"#.to_string(),
+                Err(r#"`theta` must be a number"#),
+            ),
+            (
+                r#"qsim angles not array"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"angles":0.5}"#.to_string(),
+                Err(r#"`angles` must be an array of numbers"#),
+            ),
+            (
+                r#"qsim angles length"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ","XX"],"angles":[0.5]}"#.to_string(),
+                Err(r#"`angles` (1) must match `strings` (2)"#),
+            ),
+            (
+                r#"qsim angles entry"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"angles":["x"]}"#.to_string(),
+                Err(r#"`angles` must be numbers"#),
+            ),
+            (
+                r#"qsim no angle"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"]}"#.to_string(),
+                Err(r#"qsim compile needs `theta` or `angles`"#),
+            ),
+            (
+                r#"qsim max_copies"#,
+                r#"{"op":"compile","router":"qsim","strings":["ZZ"],"theta":0.5,"max_copies":-1}"#.to_string(),
+                Err(r#"`max_copies` must be a positive integer"#),
+            ),
+            (
+                r#"qsim empty strings"#,
+                r#"{"op":"compile","router":"qsim","strings":[],"theta":0.5}"#.to_string(),
+                Ok(r#"qsim 4c59ece3fbe25d1621b535a9f805dae2 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qaoa"#,
+                r#"{"op":"compile","router":"qaoa","qubits":4,"edges":[[0,1],[2,3]],"gamma":0.7,"beta":0.3,"anchors":2,"column_extension":false}"#.to_string(),
+                Ok(r#"qaoa d7bde5139b3abf431d8a8a06559860ba Some(Qaoa(QaoaOptions { anchor_candidates: Some(2), column_extension: Some(false) })) cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qaoa gammas"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gammas":[0.1,0.2],"betas":[0.3,0.4]}"#.to_string(),
+                Ok(r#"qaoa ff5a10449f9bd118d9eb08c9ec430177 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qaoa foreign"#,
+                r#"{"op":"compile","router":"qaoa","qubits":2,"edges":[[0,1]],"gamma":0.7,"strings":["ZZ"]}"#.to_string(),
+                Err(r#"`strings` is not a `qaoa` router field"#),
+            ),
+            (
+                r#"qaoa qubits zero"#,
+                r#"{"op":"compile","router":"qaoa","qubits":0,"edges":[],"gamma":0.7}"#.to_string(),
+                Err(r#"qaoa compile needs a positive integer `qubits`"#),
+            ),
+            (
+                r#"qaoa qubits too many"#,
+                r#"{"op":"compile","router":"qaoa","qubits":70000,"edges":[],"gamma":0.7}"#.to_string(),
+                Err(r#"`qubits` implies a size of 70000, over the limit of 65536"#),
+            ),
+            (
+                r#"qaoa no edges"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"gamma":0.7}"#.to_string(),
+                Err(r#"qaoa compile needs an `edges` array of [u, v] pairs"#),
+            ),
+            (
+                r#"qaoa edge entry"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,"1"]],"gamma":0.7}"#.to_string(),
+                Err(r#"`edges` entries must be pairs of qubit indices"#),
+            ),
+            (
+                r#"qaoa edge short"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0]],"gamma":0.7}"#.to_string(),
+                Err(r#"`edges` entries must be two-element arrays"#),
+            ),
+            (
+                r#"qaoa edge scalar"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[5],"gamma":0.7}"#.to_string(),
+                Err(r#"`edges` entries must be two-element arrays"#),
+            ),
+            (
+                r#"qaoa gamma and gammas"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gamma":0.7,"gammas":[0.7]}"#.to_string(),
+                Err(r#"give either `gamma` or `gammas`, not both"#),
+            ),
+            (
+                r#"qaoa gamma string"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gamma":"x"}"#.to_string(),
+                Err(r#"`gamma` must be a number"#),
+            ),
+            (
+                r#"qaoa gamma null"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gamma":null}"#.to_string(),
+                Err(r#"`gamma` must be a number"#),
+            ),
+            (
+                r#"qaoa gammas not array"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gammas":1}"#.to_string(),
+                Err(r#"`gammas` must be an array of numbers"#),
+            ),
+            (
+                r#"qaoa gammas entry"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gammas":[null]}"#.to_string(),
+                Err(r#"`gammas` must be numbers"#),
+            ),
+            (
+                r#"qaoa no gamma"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]]}"#.to_string(),
+                Err(r#"qaoa compile needs `gamma` or `gammas`"#),
+            ),
+            (
+                r#"qaoa betas length"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gammas":[0.1,0.2],"betas":[0.3]}"#.to_string(),
+                Ok(r#"qaoa ea672a2f3cc10dfa1de74e36b9db860f None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qaoa self edge"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[1,1]],"gamma":0.7}"#.to_string(),
+                Ok(r#"qaoa a30b083b0491e529445546cf4c00edba None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qaoa column_extension"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gamma":0.7,"column_extension":1}"#.to_string(),
+                Err(r#"`column_extension` must be a boolean"#),
+            ),
+            (
+                r#"qaoa anchors"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gamma":0.7,"anchors":0}"#.to_string(),
+                Err(r#"`anchors` must be a positive integer"#),
+            ),
+            (
+                r#"qaoa anchors too many"#,
+                r#"{"op":"compile","router":"qaoa","qubits":3,"edges":[[0,1]],"gamma":0.7,"anchors":70000}"#.to_string(),
+                Err(r#"`anchors` implies a size of 70000, over the limit of 65536"#),
+            ),
+            (
+                r#"qec"#,
+                r#"{"op":"compile","router":"qec","distance":3,"rounds":2,"theta":0.5,"parallel_waves":false}"#.to_string(),
+                Ok(r#"qec e806c831b79cfd31f4c070f5e3c98571 Some(Qec(QecOptions { parallel_waves: Some(false) })) cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qec minimal"#,
+                r#"{"op":"compile","router":"qec","distance":3}"#.to_string(),
+                Ok(r#"qec 02cef5dc2fb3d8068aa452b4619ed0e0 None cols=None deadline=None rid=None schedule=true"#),
+            ),
+            (
+                r#"qec foreign"#,
+                r#"{"op":"compile","router":"qec","distance":3,"qubits":4}"#.to_string(),
+                Err(r#"`qubits` is not a `qec` router field"#),
+            ),
+            (
+                r#"qec no distance"#,
+                r#"{"op":"compile","router":"qec"}"#.to_string(),
+                Err(r#"qec compile needs an integer `distance`"#),
+            ),
+            (
+                r#"qec distance 1"#,
+                r#"{"op":"compile","router":"qec","distance":1}"#.to_string(),
+                Err(r#"qec distance must be at least 2, got 1"#),
+            ),
+            (
+                r#"qec distance too large"#,
+                r#"{"op":"compile","router":"qec","distance":300}"#.to_string(),
+                Err(r#"`distance` implies a size of 90000, over the limit of 65536"#),
+            ),
+            (
+                r#"qec rounds zero"#,
+                r#"{"op":"compile","router":"qec","distance":3,"rounds":0}"#.to_string(),
+                Err(r#"`rounds` must be a positive integer"#),
+            ),
+            (
+                r#"qec rounds too many"#,
+                r#"{"op":"compile","router":"qec","distance":100,"rounds":7}"#.to_string(),
+                Err(r#"`rounds` implies a size of 70000, over the limit of 65536"#),
+            ),
+            (
+                r#"qec theta string"#,
+                r#"{"op":"compile","router":"qec","distance":3,"theta":"x"}"#.to_string(),
+                Err(r#"`theta` must be a number"#),
+            ),
+            (
+                r#"qec theta inf"#,
+                r#"{"op":"compile","router":"qec","distance":3,"theta":1e999}"#.to_string(),
+                Err(r#"qec theta must be finite"#),
+            ),
+            (
+                r#"qec parallel_waves"#,
+                r#"{"op":"compile","router":"qec","distance":3,"parallel_waves":"yes"}"#.to_string(),
+                Err(r#"`parallel_waves` must be a boolean"#),
+            ),
+            (
+                r#"json truncated"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,"#.to_string(),
+                Err(r#"json error at byte 59: unexpected end of input"#),
+            ),
+            (
+                r#"json trailing"#,
+                r#"{"op":"ping"} x"#.to_string(),
+                Err(r#"json error at byte 14: trailing characters"#),
+            ),
+            (
+                r#"json bad escape"#,
+                r#"{"op":"p\qing"}"#.to_string(),
+                Err(r#"json error at byte 9: invalid escape"#),
+            ),
+            (
+                r#"json trailing comma"#,
+                r#"{"op":"ping",}"#.to_string(),
+                Err(r#"json error at byte 13: expected string"#),
+            ),
+            (
+                r#"json control character"#,
+                "{\"op\":\"pi\u{1}ng\"}".to_string(),
+                Err(r#"json error at byte 9: control character in string"#),
+            ),
+            (
+                r#"json unpaired surrogate"#,
+                r#"{"op":"\udc00"}"#.to_string(),
+                Err(r#"json error at byte 12: unpaired surrogate"#),
+            ),
+            (
+                r#"json missing colon"#,
+                r#"{"op" "ping"}"#.to_string(),
+                Err(r#"json error at byte 6: expected `:`"#),
+            ),
+        ];
+        let mut wrong = Vec::new();
+        for (what, line, expected) in rows {
+            let got = parse_request(&line).map(|r| summary(&r));
+            if got.as_deref().map_err(String::as_str) != expected {
+                wrong.push(format!("{what}: got {got:?}, expected {expected:?}"));
+            }
+        }
+        assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+        // A line that is not JSON gets its JSON error, not the complaint
+        // its early fields would earn.
+        let svc = service();
+        let doc =
+            json::parse(&handle_line(&svc, r#"{"op":5,"request_id":7,"circuit":{]"#).response)
+                .unwrap();
+        assert_eq!(
+            doc.get("error").and_then(Value::as_str),
+            Some("json error at byte 34: expected string")
+        );
     }
 
     #[test]

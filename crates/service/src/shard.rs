@@ -53,9 +53,9 @@
 //! ```
 
 use qpilot_circuit::fingerprint::{Fingerprint, StableHasher};
-use qpilot_core::json::{self, json_str, Value};
+use qpilot_core::json::{self, json_str, Item, Value};
 
-use crate::protocol::{next_request_id, parse_request, render_error, Handled, Request};
+use crate::protocol::{next_request_id, parse_request, render_error, Fields, Handled, Request};
 
 /// Virtual points per shard on the ring. More points smooth the load
 /// split (the relative imbalance shrinks like `1/sqrt(replicas)`) at
@@ -200,11 +200,12 @@ fn relay(answer: Result<String, String>, line: &str) -> Handled {
 /// when present, a fresh daemon-assigned one otherwise (matching the
 /// daemon's echo contract).
 fn request_id_of(line: &str) -> String {
-    json::parse(line)
+    Fields::read(line)
         .ok()
-        .and_then(|doc| {
-            doc.get("request_id")
-                .and_then(Value::as_str)
+        .and_then(|fields| {
+            fields
+                .get("request_id")
+                .and_then(Item::as_str)
                 .map(str::to_string)
         })
         .unwrap_or_else(next_request_id)
@@ -401,6 +402,10 @@ pub fn aggregate_store_stats(lines: &[String], request_id: &str) -> Result<Strin
         out.push_str("\":");
         out.push_str(&sum_u64(&docs, key).to_string());
     }
+    // Shards recover in parallel, so the fleet was ready when the
+    // slowest one was.
+    out.push_str(",\"recover_ms\":");
+    out.push_str(&json::fmt_f64(round6(max_f64(&docs, "recover_ms"))));
     out.push('}');
     Ok(out)
 }
@@ -686,14 +691,16 @@ mod tests {
 
     #[test]
     fn aggregate_store_stats_sums_counters() {
-        let a = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-1\",\"configured\":true,\"loaded\":2,\"discarded\":0,\"persisted\":5,\"removed\":1,\"entries\":6,\"bytes\":600,\"size_evictions\":0}".to_string();
-        let b = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-2\",\"configured\":false,\"loaded\":0,\"discarded\":0,\"persisted\":0,\"removed\":0,\"entries\":0,\"bytes\":0,\"size_evictions\":0}".to_string();
+        let a = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-1\",\"configured\":true,\"loaded\":2,\"discarded\":0,\"persisted\":5,\"removed\":1,\"entries\":6,\"bytes\":600,\"size_evictions\":0,\"recover_ms\":3.5}".to_string();
+        let b = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-2\",\"configured\":false,\"loaded\":0,\"discarded\":0,\"persisted\":0,\"removed\":0,\"entries\":0,\"bytes\":0,\"size_evictions\":0,\"recover_ms\":12.25}".to_string();
         let merged = aggregate_store_stats(&[a, b], "agg-2").unwrap();
         let doc = json::parse(&merged).unwrap();
         assert_eq!(doc.get("configured").and_then(Value::as_bool), Some(true));
         assert_eq!(doc.get("persisted").and_then(Value::as_u64), Some(5));
         assert_eq!(doc.get("entries").and_then(Value::as_u64), Some(6));
         assert_eq!(doc.get("shards").and_then(Value::as_u64), Some(2));
+        // The fleet is ready when its slowest shard is.
+        assert_eq!(doc.get("recover_ms").and_then(Value::as_f64), Some(12.25));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 
 use qpilot_circuit::Circuit;
 use qpilot_core::json::{self, json_str, Value};
-use qpilot_core::wire::schedule_from_value;
+use qpilot_core::wire::schedule_from_json;
 use qpilot_service::protocol::{circuit_to_value_json, compile_request_line};
 use qpilot_service::{
     serve_tcp, CompileRequest, ReactorOptions, Service, ServiceConfig, MAX_REQUEST_LINE_BYTES,
@@ -138,7 +138,11 @@ fn workloads_compile_identically_via_qasm_and_inline_circuit() {
             "{name}"
         );
         // The schedule parses back into a well-formed Schedule.
-        let schedule = schedule_from_value(qasm_response.get("schedule").expect("schedule body"))
+        let schedule_text = qasm_response
+            .get("schedule")
+            .expect("schedule body")
+            .to_json();
+        let schedule = schedule_from_json(&schedule_text)
             .unwrap_or_else(|e| panic!("{name}: schedule parse failed: {e}"));
         assert_eq!(schedule.num_data, canonical.num_qubits());
     }

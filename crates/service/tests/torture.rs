@@ -20,12 +20,15 @@ use proptest::test_runner::ProptestConfig;
 use qpilot_core::json::{self, Value};
 use qpilot_service::{serve_tcp, ReactorOptions, Service, ServiceConfig, MAX_REQUEST_LINE_BYTES};
 
+/// A small service whose compiles end by a deadline, so a request that
+/// names a legal but huge size is answered in bounded time.
 fn torture_service() -> Service {
     Service::new(ServiceConfig {
         workers: 2,
         queue_capacity: 8,
         cache_capacity: 32,
         cache_shards: 4,
+        max_compile_ms: Some(2_000),
         ..ServiceConfig::default()
     })
 }
@@ -143,6 +146,100 @@ fn arb_line() -> impl Strategy<Value = String> {
         arb_mistyped(),
         (0u32..VALID_LINES.len() as u32).prop_map(|i| VALID_LINES[i as usize].to_string()),
     ]
+}
+
+/// The values every numeric slot of [`TEMPLATES`] is drawn from, as JSON
+/// text: the edges of `u32`, of exact `f64` integers and of
+/// `MAX_WIRE_QUBITS` (65 536), signs, fractions, overflow to infinity,
+/// and values of the wrong type.
+const NUMERIC_EDGES: [&str; 17] = [
+    "0",
+    "1",
+    "2147483647",
+    "4294967295",
+    "4294967296",
+    "9007199254740992",
+    "9007199254740993",
+    "65535",
+    "65537",
+    "-1",
+    "-0.0",
+    "0.5",
+    "1e300",
+    "1e999",
+    r#""x""#,
+    "null",
+    "true",
+];
+
+/// One request per op and per router, inline circuits and QASM, with a
+/// slot for every number: `#` takes a value of [`NUMERIC_EDGES`] as is,
+/// `$` takes it as text inside the QASM string. `shutdown` is left out:
+/// it ends the daemon, which the property's closing ping must reach.
+///
+/// A QAOA `qubits` slot (`@`) leaves out 65 535: the QAOA router holds
+/// about 1.5 GB for that many qubits before its first deadline check.
+const TEMPLATES: &[&str] = &[
+    r#"{"op":"ping","request_id":#}"#,
+    r#"{"op":"stats","request_id":#}"#,
+    r#"{"op":"store-stats","request_id":#}"#,
+    r#"{"op":"metrics","request_id":#}"#,
+    r#"{"op":"compile","circuit":{"num_qubits":#,"gates":[["cz",#,#],["rz",#,#]]},"cols":#,"stage_cap":#,"deadline_ms":#}"#,
+    r#"{"op":"compile","qasm":"OPENQASM 2.0;\nqreg q[$];\ncz q[$], q[$];\nrz($) q[$];","schedule":false}"#,
+    r#"{"op":"compile","router":"qsim","strings":["ZZI","IXX"],"theta":#,"max_copies":#,"cols":#}"#,
+    r#"{"op":"compile","router":"qsim","strings":["ZZI","IXX"],"angles":[#,#]}"#,
+    r#"{"op":"compile","router":"qaoa","qubits":@,"edges":[[#,#],[#,#]],"gammas":[#],"betas":[#],"anchors":#}"#,
+    r#"{"op":"compile","router":"qec","distance":#,"rounds":#,"theta":#,"parallel_waves":true}"#,
+    r#"{"op":"compile","router":"auto","qubits":@,"edges":[[#,#]],"gamma":#}"#,
+    r#"{"op":"compile","router":"auto","distance":#,"rounds":#,"deadline_ms":#}"#,
+];
+
+/// Strategy: a template with its slots filled from [`NUMERIC_EDGES`].
+fn arb_numeric_edge_line() -> impl Strategy<Value = String> {
+    let edges = NUMERIC_EDGES.len();
+    (0..TEMPLATES.len(), prop::collection::vec(0..edges, 12)).prop_map(|(template, picks)| {
+        let mut picks = picks.into_iter();
+        let mut line = String::new();
+        for c in TEMPLATES[template].chars() {
+            let mut pick = || NUMERIC_EDGES[picks.next().expect("enough picks")];
+            match c {
+                '#' => line.push_str(pick()),
+                '$' => line.push_str(&pick().replace('"', "\\\"")),
+                '@' => line.push_str(match pick() {
+                    "65535" => "65537",
+                    other => other,
+                }),
+                c => line.push(c),
+            }
+        }
+        line
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every number a request can carry, at its edges, in every slot of
+    /// every op and router: each request gets one JSON line with a
+    /// boolean `ok`, and the connection still answers a ping.
+    #[test]
+    fn numeric_edges_get_one_valid_json_response(
+        lines in prop::collection::vec(arb_numeric_edge_line(), 1..4)
+    ) {
+        let server = serve_tcp(torture_service(), "127.0.0.1:0", ReactorOptions::default()).unwrap();
+        let mut client = Client::connect(server.local_addr());
+        client.writer.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        for line in &lines {
+            let response = client.request(line);
+            let doc = json::parse(&response);
+            prop_assert!(doc.is_ok(), "non-JSON response {response:?} to {line:?}");
+            let ok = doc.unwrap().get("ok").and_then(Value::as_bool);
+            prop_assert!(ok.is_some(), "response without a boolean `ok` to {line:?}");
+        }
+        let pong = client.request(r#"{"op":"ping"}"#);
+        prop_assert!(pong.contains("pong"), "connection poisoned: {pong:?}");
+        server.shutdown();
+    }
 }
 
 proptest! {
