@@ -21,7 +21,8 @@
 //! 10 µm pitch — the geometric precondition called out in
 //! [`FpqaConfig`].
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::hash::{BuildHasher, RandomState};
 
 use qpilot_arch::GridCoord;
 use qpilot_circuit::Gate;
@@ -191,16 +192,18 @@ impl QaoaRouter {
                 available: config.num_data(),
             });
         }
-        let mut remaining: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut normalised: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
         for &(a, b) in edges {
             if a == b || a >= num_qubits || b >= num_qubits {
                 return Err(RouteError::InvalidEdge { a, b });
             }
-            remaining.insert((a.min(b), a.max(b)));
+            normalised.push((a.min(b), a.max(b)));
         }
-        if remaining.is_empty() {
+        if normalised.is_empty() {
             return Ok(());
         }
+        normalised.sort_unstable();
+        normalised.dedup();
 
         let slm = config.slm();
         let used_rows = (num_qubits as usize).div_ceil(slm.cols());
@@ -255,50 +258,50 @@ impl QaoaRouter {
         );
         schedule.repeat_stage(h_stage);
 
-        // Stage loop. Edge buckets are built once and maintained
-        // incrementally as edges execute (the pre-PR code re-bucketed all
-        // remaining edges every stage, which dominated routing time on
-        // large graphs — see ROADMAP "Perf open items"). The bitset
-        // mirrors `remaining` for O(1) membership in the row-sweep inner
-        // loop; the memo carries first-row matchings across stages.
-        let mut buckets = EdgeBuckets::build(&remaining, config);
-        let mut edge_bits = EdgeBits::new(num_qubits as usize);
-        for &(u, v) in &remaining {
-            edge_bits.insert(u, v);
-        }
+        // Stage loop. The edge index, the buckets and the candidate stream
+        // are built once per cost layer and shrink as edges execute; every
+        // edge set the search keeps is a bitset over edge ids, so the
+        // layer's working state is O(qubits + edges). The memo carries
+        // first-row matchings across stages.
         let geom = Geometry::build(config, num_qubits);
-        let mut memo = FirstRowMemo::default();
-        let mut oriented_scratch: Vec<(u32, u32, u32, u32)> = Vec::new();
+        let index = EdgeIndex::build(normalised);
+        let (mut buckets, mut stream, pairs) = EdgeBuckets::build(&index, &geom, used_rows);
+        let mut remaining = EdgeBits::new(index.len());
+        for e in 0..index.len() {
+            remaining.insert(e);
+        }
+        let mut left = index.len();
+        let mut first = 0;
+        let mut memo = FirstRowMemo::new(buckets.keys.len());
+        let mut scratch = CandidateScratch::new(index.len(), pairs);
         prof.lap_setup();
-        while !remaining.is_empty() {
+        while left > 0 {
             // Stage boundary: stop cleanly before solving the next stage.
             self.cancel.check()?;
-            oriented_scratch.clear();
-            oriented_scratch.extend(
-                buckets.oriented.iter().map(|&(src, tgt)| {
-                    (src, tgt, geom.coord(src).1 as u32, geom.coord(tgt).1 as u32)
-                }),
-            );
+            // Ids follow edge order and only ever leave the set, so the
+            // smallest remaining edge (the paper's e0) only moves forward.
+            while !remaining.contains(first) {
+                first += 1;
+            }
+            stream.retain(|o| remaining.contains(o.edge as usize));
             let ctx = SearchContext {
+                index: &index,
                 remaining: &remaining,
-                edge_bits: &edge_bits,
                 buckets: &buckets,
                 geom: &geom,
-                oriented: &oriented_scratch,
-                config,
-                num_qubits,
+                stream: &stream,
+                first: index.edges[first],
                 used_rows,
                 slm_rows: config.slm().rows(),
                 options: &self.options,
             };
-            let solution = solve_stage(&ctx, &mut memo);
+            let solution = solve_stage(&ctx, &mut memo, &mut scratch);
             debug_assert!(!solution.matched.is_empty(), "stage must match >= 1 edge");
             for &(u, v) in &solution.matched {
-                let e = (u.min(v), u.max(v));
-                remaining.remove(&e);
-                edge_bits.remove(e.0, e.1);
-                buckets.remove(e.0, e.1, config);
+                remaining.remove(index.id(u, v).expect("matched edges are indexed"));
+                buckets.remove(u, v, &geom);
             }
+            left -= solution.matched.len();
             prof.lap_select();
             let (row_y, col_x) =
                 stage_coords(&solution, schedule.schedule(), config, used_rows, used_cols);
@@ -383,98 +386,93 @@ struct StageSolution {
     matched: Vec<(u32, u32)>,
 }
 
-/// Remaining edges bucketed by `(ancilla home row, target SLM row)` in
-/// both orientations, maintained incrementally across stages: edges leave
-/// their two buckets as they execute instead of the whole structure being
-/// rebuilt per stage. Buckets are `BTreeSet`s so iteration order equals
-/// the sorted order the per-stage rebuild used to produce — stage
-/// construction is unchanged, only its cost is.
-#[derive(Debug, Default)]
-struct EdgeBuckets {
-    map: HashMap<(usize, usize), BTreeSet<(u32, u32)>>,
-    /// Every remaining edge in both orientations, sorted — the
-    /// column-extension candidate stream, maintained here so stage
-    /// construction never re-collects and re-sorts the edge set.
-    oriented: BTreeSet<(u32, u32)>,
-    /// For each ancilla home row, the SLM target rows with a live bucket,
-    /// sorted ascending. The row sweeps scan only these: a `(aod_row, y)`
-    /// placement can match an edge iff bucket `(aod_row, y)` is non-empty
-    /// (a matched edge's source sits on `aod_row` and its target on `y` —
-    /// exactly that bucket's signature), so skipping empty rows is
-    /// outcome-exact. Plain sorted `Vec`s: the sets are at most
-    /// `slm_rows` long, so ordered insert/remove beats tree overhead.
-    rows_of: HashMap<usize, Vec<usize>>,
-    /// Per-bucket modification stamps for [`FirstRowMemo`] invalidation.
-    mods: HashMap<(usize, usize), u64>,
-    tick: u64,
+/// The cost layer's edges, normalised to `(min, max)` and sorted; an
+/// edge's id is its rank. Every edge set of the search is a bitset over
+/// these ids, and an open-addressing table on the packed pair answers
+/// `(u, v) → id` in O(1) expected time: the row sweeps ask once per
+/// occupied cross. The hash multiplies by a random odd number drawn per
+/// index, so the expectation holds for any edge list a request sends;
+/// the table's layout never reaches the output.
+struct EdgeIndex {
+    edges: Vec<(u32, u32)>,
+    /// A power-of-two table at most half full of `(packed pair, id)`;
+    /// [`EdgeIndex::VACANT`] marks a free slot.
+    slots: Vec<(u64, u32)>,
+    multiplier: u64,
+    /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
 }
 
-impl EdgeBuckets {
-    /// Buckets every remaining (normalised) edge, both orientations.
-    fn build(remaining: &BTreeSet<(u32, u32)>, config: &FpqaConfig) -> Self {
-        let mut buckets = EdgeBuckets::default();
-        for &(u, v) in remaining {
-            for (src, tgt) in [(u, v), (v, u)] {
-                let key = (config.coord_of(src).row, config.coord_of(tgt).row);
-                buckets.map.entry(key).or_default().insert((src, tgt));
-                let rows = buckets.rows_of.entry(key.0).or_default();
-                if let Err(i) = rows.binary_search(&key.1) {
-                    rows.insert(i, key.1);
-                }
-                buckets.oriented.insert((src, tgt));
+impl EdgeIndex {
+    /// No normalised pair packs to this: its halves would be equal.
+    const VACANT: u64 = u64::MAX;
+
+    /// Indexes `edges`, which must be normalised, sorted and distinct.
+    fn build(edges: Vec<(u32, u32)>) -> Self {
+        let size = (2 * edges.len()).next_power_of_two().max(2);
+        let mut index = EdgeIndex {
+            slots: vec![(Self::VACANT, 0); size],
+            multiplier: RandomState::new().hash_one(size) | 1,
+            shift: 64 - size.trailing_zeros(),
+            edges,
+        };
+        for (id, &(u, v)) in index.edges.iter().enumerate() {
+            let key = Self::pack(u, v);
+            let mut slot = index.home(key);
+            while index.slots[slot].0 != Self::VACANT {
+                slot = (slot + 1) & (size - 1);
             }
+            index.slots[slot] = (key, id as u32);
         }
-        buckets
+        index
     }
 
-    /// Removes an executed edge's two orientations; empty buckets vanish
-    /// so the anchor-candidate scan only ever sees live buckets.
-    fn remove(&mut self, u: u32, v: u32, config: &FpqaConfig) {
-        for (src, tgt) in [(u, v), (v, u)] {
-            let key = (config.coord_of(src).row, config.coord_of(tgt).row);
-            if let Some(bucket) = self.map.get_mut(&key) {
-                if bucket.remove(&(src, tgt)) {
-                    self.tick += 1;
-                    self.mods.insert(key, self.tick);
-                }
-                if bucket.is_empty() {
-                    self.map.remove(&key);
-                    if let Some(rows) = self.rows_of.get_mut(&key.0) {
-                        if let Ok(i) = rows.binary_search(&key.1) {
-                            rows.remove(i);
-                        }
-                        if rows.is_empty() {
-                            self.rows_of.remove(&key.0);
-                        }
-                    }
-                }
-            }
-            self.oriented.remove(&(src, tgt));
-        }
+    fn len(&self) -> usize {
+        self.edges.len()
     }
 
-    /// The bucket's modification stamp (0 = untouched since build).
-    fn stamp(&self, key: (usize, usize)) -> u64 {
-        self.mods.get(&key).copied().unwrap_or(0)
+    #[inline]
+    fn pack(u: u32, v: u32) -> u64 {
+        (u64::from(u.min(v)) << 32) | u64::from(u.max(v))
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(self.multiplier) >> self.shift) as usize
+    }
+
+    /// The id of edge `{u, v}`, in either orientation.
+    #[inline]
+    fn id(&self, u: u32, v: u32) -> Option<usize> {
+        let key = Self::pack(u, v);
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let (k, id) = self.slots[slot];
+            if k == key {
+                return Some(id as usize);
+            }
+            if k == Self::VACANT {
+                return None;
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 }
 
-/// Normalised-edge membership bitset, used both for the long-lived
-/// mirror of the `remaining` set and for the per-candidate matched sets:
-/// the row sweeps and the column-extension legality scan test edge
-/// membership in their innermost loops, and a flat bit lookup beats the
-/// `BTreeSet` descent / SipHash `HashSet` probe that used to sit there.
+/// A set of edge ids, one bit each: the long-lived mirror of the
+/// remaining edges and the per-candidate matched sets. The row sweeps
+/// and the column extension test membership in their innermost loops;
+/// clearing or copying a set touches `edges / 64` words.
 #[derive(Debug, Clone)]
 struct EdgeBits {
     words: Vec<u64>,
-    stride: usize,
 }
 
 impl EdgeBits {
-    fn new(num_qubits: usize) -> Self {
+    fn new(edges: usize) -> Self {
         EdgeBits {
-            words: vec![0; (num_qubits * num_qubits).div_ceil(64)],
-            stride: num_qubits,
+            words: vec![0; edges.div_ceil(64)],
         }
     }
 
@@ -482,37 +480,184 @@ impl EdgeBits {
         self.words.fill(0);
     }
 
-    /// `true` iff the edge is in `self` and not in `other` ("fresh"):
-    /// both bitsets share a stride, so the bit index is computed once for
-    /// the paired probe the sweep/extension inner loops make.
-    #[inline]
-    fn fresh(&self, other: &EdgeBits, u: u32, v: u32) -> bool {
-        debug_assert_eq!(self.stride, other.stride);
-        let (w, m) = self.bit(u, v);
-        self.words[w] & m != 0 && other.words[w] & m == 0
+    fn copy_from(&mut self, other: &EdgeBits) {
+        self.words.copy_from_slice(&other.words);
     }
 
     #[inline]
-    fn bit(&self, u: u32, v: u32) -> (usize, u64) {
-        let (a, b) = if u < v { (u, v) } else { (v, u) };
-        let idx = a as usize * self.stride + b as usize;
-        (idx / 64, 1u64 << (idx % 64))
+    fn contains(&self, id: usize) -> bool {
+        self.words[id / 64] & (1 << (id % 64)) != 0
     }
 
-    fn insert(&mut self, u: u32, v: u32) {
-        let (w, m) = self.bit(u, v);
-        self.words[w] |= m;
+    fn insert(&mut self, id: usize) {
+        self.words[id / 64] |= 1 << (id % 64);
     }
 
-    fn remove(&mut self, u: u32, v: u32) {
-        let (w, m) = self.bit(u, v);
-        self.words[w] &= !m;
+    fn remove(&mut self, id: usize) {
+        self.words[id / 64] &= !(1 << (id % 64));
+    }
+}
+
+/// One orientation of an edge: the ancilla of `src` meets the atom of
+/// `tgt`, so the AOD column homed at `hc` must target SLM column `tc`.
+#[derive(Debug, Clone, Copy)]
+struct Oriented {
+    src: u32,
+    tgt: u32,
+    hc: u32,
+    tc: u32,
+    /// The edge's id in the [`EdgeIndex`].
+    edge: u32,
+    /// A dense id for the column pair `(hc, tc)`.
+    pair: u32,
+}
+
+/// Remaining edges bucketed by `(ancilla home row, target SLM row)` in
+/// both orientations, maintained incrementally across stages: edges leave
+/// their two buckets as they execute. Every array is flat and sized by
+/// the edges or the used rows. Bucket ids follow key order, so one home
+/// row's buckets are a contiguous id range, and ordering buckets by id is
+/// ordering them by key.
+#[derive(Debug)]
+struct EdgeBuckets {
+    /// `(home row, target row)` per bucket id, increasing.
+    keys: Vec<(usize, usize)>,
+    /// Bucket `b` holds `entries[start[b]..start[b] + len[b]]`, sorted by
+    /// `(src, tgt)`: the order the anchor seeds insert columns in.
+    entries: Vec<Oriented>,
+    start: Vec<usize>,
+    len: Vec<usize>,
+    /// Home row `r`'s bucket ids are `row_start[r]..row_start[r + 1]`.
+    row_start: Vec<usize>,
+    /// Home row `r`'s SLM target rows with a live bucket, ascending, at
+    /// `row_ys[row_start[r]..row_start[r] + row_len[r]]`. The row sweeps
+    /// scan only these: a `(aod_row, y)` placement can match an edge iff
+    /// bucket `(aod_row, y)` is non-empty (a matched edge's source sits on
+    /// `aod_row` and its target on `y` — exactly that bucket's
+    /// signature), so skipping empty rows is outcome-exact.
+    row_ys: Vec<usize>,
+    row_len: Vec<usize>,
+    /// The live bucket ids in no particular order, for the anchor scan,
+    /// and each live bucket's position in it.
+    live: Vec<usize>,
+    live_at: Vec<usize>,
+    /// Per-bucket modification stamps for [`FirstRowMemo`] invalidation
+    /// (0 = untouched since build).
+    mods: Vec<u64>,
+    tick: u64,
+}
+
+impl EdgeBuckets {
+    /// Buckets every edge of `index` in both orientations. Also returns
+    /// the column-extension candidate stream — every orientation sorted
+    /// by `(src, tgt)` — and the number of distinct column pairs.
+    fn build(index: &EdgeIndex, geom: &Geometry, used_rows: usize) -> (Self, Vec<Oriented>, usize) {
+        let mut entries = Vec::with_capacity(2 * index.len());
+        for (id, &(u, v)) in index.edges.iter().enumerate() {
+            for (src, tgt) in [(u, v), (v, u)] {
+                entries.push(Oriented {
+                    src,
+                    tgt,
+                    hc: geom.coord(src).1 as u32,
+                    tc: geom.coord(tgt).1 as u32,
+                    edge: id as u32,
+                    pair: 0,
+                });
+            }
+        }
+        let mut pairs: Vec<(u32, u32)> = entries.iter().map(|o| (o.hc, o.tc)).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        for o in &mut entries {
+            o.pair = pairs.partition_point(|&p| p < (o.hc, o.tc)) as u32;
+        }
+        let mut stream = entries.clone();
+        stream.sort_unstable_by_key(|o| (o.src, o.tgt));
+
+        let key_of = |o: &Oriented| (geom.coord(o.src).0, geom.coord(o.tgt).0);
+        entries.sort_unstable_by_key(|o| (key_of(o), o.src, o.tgt));
+        let mut keys = Vec::new();
+        let mut start = Vec::new();
+        let mut len = Vec::new();
+        for (i, o) in entries.iter().enumerate() {
+            if keys.last() != Some(&key_of(o)) {
+                keys.push(key_of(o));
+                start.push(i);
+                len.push(0);
+            }
+            *len.last_mut().expect("a bucket was opened") += 1;
+        }
+        let mut row_start = vec![0; used_rows + 1];
+        for &(r, _) in &keys {
+            row_start[r + 1] += 1;
+        }
+        for r in 0..used_rows {
+            row_start[r + 1] += row_start[r];
+        }
+        let buckets = EdgeBuckets {
+            row_ys: keys.iter().map(|&(_, y)| y).collect(),
+            row_len: row_start.windows(2).map(|w| w[1] - w[0]).collect(),
+            row_start,
+            live: (0..keys.len()).collect(),
+            live_at: (0..keys.len()).collect(),
+            mods: vec![0; keys.len()],
+            tick: 0,
+            keys,
+            entries,
+            start,
+            len,
+        };
+        (buckets, stream, pairs.len())
     }
 
-    #[inline]
-    fn contains(&self, u: u32, v: u32) -> bool {
-        let (w, m) = self.bit(u, v);
-        self.words[w] & m != 0
+    /// The id of bucket `(r, y)`, live or not, if any edge ever had it.
+    fn bucket_at(&self, r: usize, y: usize) -> Option<usize> {
+        let first = self.row_start[r];
+        self.keys[first..self.row_start[r + 1]]
+            .binary_search_by_key(&y, |&(_, y)| y)
+            .ok()
+            .map(|i| first + i)
+    }
+
+    /// Bucket `b`'s remaining edges, sorted by `(src, tgt)`.
+    fn edges(&self, b: usize) -> &[Oriented] {
+        &self.entries[self.start[b]..self.start[b] + self.len[b]]
+    }
+
+    /// Home row `r`'s target rows with a live bucket, ascending.
+    fn live_rows(&self, r: usize) -> &[usize] {
+        &self.row_ys[self.row_start[r]..self.row_start[r] + self.row_len[r]]
+    }
+
+    /// Removes an executed edge's two orientations; an emptied bucket
+    /// leaves the live list and its row's target rows, so the anchor scan
+    /// and the row sweeps only ever see live buckets.
+    fn remove(&mut self, u: u32, v: u32, geom: &Geometry) {
+        for (src, tgt) in [(u, v), (v, u)] {
+            let (r, y) = (geom.coord(src).0, geom.coord(tgt).0);
+            let b = self
+                .bucket_at(r, y)
+                .expect("every orientation has a bucket");
+            let bucket = &mut self.entries[self.start[b]..self.start[b] + self.len[b]];
+            let i = bucket
+                .binary_search_by_key(&(src, tgt), |o| (o.src, o.tgt))
+                .expect("an executing edge is still bucketed");
+            bucket.copy_within(i + 1.., i);
+            self.len[b] -= 1;
+            self.tick += 1;
+            self.mods[b] = self.tick;
+            if self.len[b] == 0 {
+                let at = self.live_at[b];
+                self.live.swap_remove(at);
+                if let Some(&moved) = self.live.get(at) {
+                    self.live_at[moved] = at;
+                }
+                let ys = &mut self.row_ys[self.row_start[r]..self.row_start[r] + self.row_len[r]];
+                let j = ys.binary_search(&y).expect("a live bucket's row is listed");
+                ys.copy_within(j + 1.., j);
+                self.row_len[r] -= 1;
+            }
+        }
     }
 }
 
@@ -559,20 +704,28 @@ impl Geometry {
 
 /// Read-only state shared by every candidate evaluation of one stage.
 struct SearchContext<'a> {
-    remaining: &'a BTreeSet<(u32, u32)>,
-    edge_bits: &'a EdgeBits,
+    index: &'a EdgeIndex,
+    remaining: &'a EdgeBits,
     buckets: &'a EdgeBuckets,
     geom: &'a Geometry,
-    /// The stage's column-extension candidate stream — `buckets.oriented`
-    /// flattened once per stage with each edge's `(home col, target col)`
-    /// precomputed, since every candidate of the stage walks the same
-    /// stream.
-    oriented: &'a [(u32, u32, u32, u32)],
-    config: &'a FpqaConfig,
-    num_qubits: u32,
+    /// The column-extension candidate stream: every remaining edge in
+    /// both orientations, sorted by `(src, tgt)`.
+    stream: &'a [Oriented],
+    /// The smallest remaining edge (the paper's e0).
+    first: (u32, u32),
     used_rows: usize,
     slm_rows: usize,
     options: &'a QaoaRouterOptions,
+}
+
+impl SearchContext<'_> {
+    /// The id of edge `{u, v}` iff it remains and `matched` lacks it.
+    #[inline]
+    fn fresh(&self, matched: &EdgeBits, u: u32, v: u32) -> Option<usize> {
+        self.index
+            .id(u, v)
+            .filter(|&e| self.remaining.contains(e) && !matched.contains(e))
+    }
 }
 
 /// First-row matchings memoised per anchor bucket across stages: the
@@ -580,25 +733,24 @@ struct SearchContext<'a> {
 /// iteration) and static geometry, so it is recomputed only when the
 /// bucket's modification stamp moves — on a 3-regular graph most anchor
 /// buckets survive a committed stage untouched.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FirstRowMemo {
-    map: HashMap<(usize, usize), (u64, PairMatcher)>,
+    /// `(stamp, matching)` per bucket id; `u64::MAX` = never built.
+    entries: Vec<(u64, PairMatcher)>,
 }
 
 impl FirstRowMemo {
-    fn get(
-        &mut self,
-        buckets: &EdgeBuckets,
-        config: &FpqaConfig,
-        key: (usize, usize),
-    ) -> &PairMatcher {
-        let stamp = buckets.stamp(key);
-        let entry = self
-            .map
-            .entry(key)
-            .or_insert_with(|| (u64::MAX, PairMatcher::new()));
+    fn new(buckets: usize) -> Self {
+        FirstRowMemo {
+            entries: vec![(u64::MAX, PairMatcher::new()); buckets],
+        }
+    }
+
+    fn get(&mut self, buckets: &EdgeBuckets, b: usize) -> &PairMatcher {
+        let stamp = buckets.mods[b];
+        let entry = &mut self.entries[b];
         if entry.0 != stamp {
-            entry.1 = first_row_matching(&buckets.map[&key], config);
+            entry.1 = first_row_matching(buckets.edges(b));
             entry.0 = stamp;
         }
         &entry.1
@@ -606,19 +758,16 @@ impl FirstRowMemo {
 }
 
 /// The maximum greedy first-row matching over a bucket: column insertion
-/// in sorted edge order; each (normalised) edge may seed one orientation
-/// only — both at once would execute it twice in the same pulse.
-fn first_row_matching(bucket: &BTreeSet<(u32, u32)>, config: &FpqaConfig) -> PairMatcher {
+/// in sorted edge order. An edge may seed one orientation only — both at
+/// once would execute it twice in the same pulse — and the matcher
+/// enforces that by itself: both orientations share a bucket only when
+/// both endpoints sit on one row, and then they propose the mirrored
+/// pairs `(a, b)` and `(b, a)`, which no strictly increasing pattern
+/// holds together.
+fn first_row_matching(bucket: &[Oriented]) -> PairMatcher {
     let mut cols = PairMatcher::new();
-    let mut seeded: HashSet<(u32, u32)> = HashSet::new();
-    for &(src, tgt) in bucket {
-        let e = (src.min(tgt), src.max(tgt));
-        if seeded.contains(&e) {
-            continue;
-        }
-        if cols.insert(config.coord_of(src).col, config.coord_of(tgt).col) {
-            seeded.insert(e);
-        }
+    for o in bucket {
+        cols.insert(o.hc as usize, o.tc as usize);
     }
     cols
 }
@@ -627,34 +776,48 @@ fn first_row_matching(bucket: &BTreeSet<(u32, u32)>, config: &FpqaConfig) -> Pai
 /// pattern, which often lets *more rows* match on sparse graphs. (An
 /// empty matcher accepts any first pair, so this is exactly the
 /// `seed_all = false` prefix of the greedy scan.)
-fn sparse_first_row(bucket: &BTreeSet<(u32, u32)>, config: &FpqaConfig) -> PairMatcher {
+fn sparse_first_row(bucket: &[Oriented]) -> PairMatcher {
     let mut cols = PairMatcher::new();
-    if let Some(&(src, tgt)) = bucket.iter().next() {
-        let inserted = cols.insert(config.coord_of(src).col, config.coord_of(tgt).col);
+    if let Some(o) = bucket.first() {
+        let inserted = cols.insert(o.hc as usize, o.tc as usize);
         debug_assert!(inserted, "empty matcher accepts any pair");
     }
     cols
 }
 
-/// Reusable per-candidate working buffers. The selection walk builds up
-/// to ~16 candidates per stage; sharing one scratch across them keeps
-/// allocation out of the search. The contents never outlive one
-/// [`build_candidate`] call, so reuse is invisible to the result.
+/// Column-extension stamp of a pair that no fresh edge of a committed row
+/// proposes: it can never commit, so it is never evaluated.
+const NEVER: u32 = u32::MAX;
+/// Column-extension stamp of a proposed pair before its first
+/// evaluation: below every version, which is at least 1.
+const NOT_YET: u32 = 0;
+
+/// Reusable working buffers of one cost layer's stage search, sized by
+/// its edges and column pairs and allocated once per layer. Their
+/// contents never outlive one [`build_candidate`] call (`best_matched`:
+/// one [`solve_stage`] call), so reuse is invisible to the result.
 struct CandidateScratch {
-    /// Edges matched by the candidate under construction.
+    /// Edge ids matched by the candidate under construction.
     stage_matched: EdgeBits,
     /// Snapshot of `stage_matched` taken before column extension.
     pre_extension: EdgeBits,
-    /// Column-pair evaluation stamps (`usize::MAX` = never evaluated).
-    evaluated: Vec<usize>,
+    /// Edge ids matched by the stage's best candidate so far.
+    best_matched: EdgeBits,
+    /// Column-extension evaluation stamps per column-pair id: [`NEVER`],
+    /// [`NOT_YET`], or the version a pair was last evaluated at.
+    evaluated: Vec<u32>,
+    /// One candidate column's matches: `(edge id, src, tgt)`.
+    new_matches: Vec<(usize, u32, u32)>,
 }
 
 impl CandidateScratch {
-    fn new(num_qubits: u32, slm_cols: usize) -> Self {
+    fn new(edges: usize, pairs: usize) -> Self {
         CandidateScratch {
-            stage_matched: EdgeBits::new(num_qubits as usize),
-            pre_extension: EdgeBits::new(num_qubits as usize),
-            evaluated: vec![usize::MAX; slm_cols * slm_cols],
+            stage_matched: EdgeBits::new(edges),
+            pre_extension: EdgeBits::new(edges),
+            best_matched: EdgeBits::new(edges),
+            evaluated: vec![NEVER; pairs],
+            new_matches: Vec::new(),
         }
     }
 }
@@ -675,21 +838,26 @@ impl CandidateScratch {
 ///   candidate's matched set is skipped before either of its seeds is
 ///   built — it seeds no column pattern the best stage does not
 ///   already execute.
-fn solve_stage(ctx: &SearchContext<'_>, memo: &mut FirstRowMemo) -> StageSolution {
+fn solve_stage(
+    ctx: &SearchContext<'_>,
+    memo: &mut FirstRowMemo,
+    scratch: &mut CandidateScratch,
+) -> StageSolution {
     // Candidate anchors: the densest buckets, plus the bucket holding the
     // globally smallest edge (the paper's e0) as a deterministic fallback.
-    // Bucket sizes ride along in the sort key (one map pass) rather than
-    // being re-fetched inside the comparator.
-    let &(a0, b0) = ctx.remaining.iter().next().expect("non-empty edge set");
-    // Bounded selection instead of a full sort: one pass keeps the k
-    // smallest sort keys in a sorted scratch array (most entries lose a
-    // single comparison against the current k-th). The key order is
-    // total ((r, y) is unique per bucket), so the selected keys — and
-    // with them the argmax — are exactly the full sort's first k.
+    //
+    // Bounded selection instead of a full sort: one pass over the live
+    // buckets keeps the k smallest sort keys in a sorted scratch array
+    // (most entries lose a single comparison against the current k-th).
+    // Bucket ids follow `(r, y)` order, so `(Reverse(size), id)` is the
+    // total order `(Reverse(size), r, y)`: the selected keys — and with
+    // them the argmax — are exactly the full sort's first k, whatever the
+    // live list's order.
+    let buckets = ctx.buckets;
     let k = ctx.options.anchor_candidates.max(1);
-    let mut keyed: Vec<(std::cmp::Reverse<usize>, usize, usize)> = Vec::with_capacity(k + 1);
-    for (key, bucket) in ctx.buckets.map.iter() {
-        let entry = (std::cmp::Reverse(bucket.len()), key.0, key.1);
+    let mut keyed: Vec<(Reverse<usize>, usize)> = Vec::with_capacity(k + 1);
+    for &b in &buckets.live {
+        let entry = (Reverse(buckets.len[b]), b);
         if keyed.len() == k {
             if entry >= *keyed.last().expect("k >= 1") {
                 continue;
@@ -699,10 +867,13 @@ fn solve_stage(ctx: &SearchContext<'_>, memo: &mut FirstRowMemo) -> StageSolutio
         let at = keyed.partition_point(|e| *e < entry);
         keyed.insert(at, entry);
     }
-    let mut keys: Vec<(usize, usize)> = keyed.into_iter().map(|(_, r, y)| (r, y)).collect();
-    let e0_key = (ctx.geom.coord(a0).0, ctx.geom.coord(b0).0);
-    if !keys.contains(&e0_key) {
-        keys.push(e0_key);
+    let mut anchors: Vec<usize> = keyed.into_iter().map(|(_, b)| b).collect();
+    let (a0, b0) = ctx.first;
+    let e0 = buckets
+        .bucket_at(ctx.geom.coord(a0).0, ctx.geom.coord(b0).0)
+        .expect("e0 has a live bucket");
+    if !anchors.contains(&e0) {
+        anchors.push(e0);
     }
 
     // Selection walk over the anchors in key order, building each
@@ -710,30 +881,31 @@ fn solve_stage(ctx: &SearchContext<'_>, memo: &mut FirstRowMemo) -> StageSolutio
     // entry or either seed is touched; otherwise its dense seed is tried,
     // then its sparse seed. A candidate replaces the best only when
     // strictly better, so ties break toward the earliest.
-    let mut scratch = CandidateScratch::new(ctx.num_qubits, ctx.config.slm().cols());
     let mut best: Option<StageSolution> = None;
-    let mut best_matched = EdgeBits::new(ctx.num_qubits as usize);
-    for key in keys {
-        let bucket = &ctx.buckets.map[&key];
-        if best.is_some() && bucket.iter().all(|&(u, v)| best_matched.contains(u, v)) {
+    for b in anchors {
+        let bucket = buckets.edges(b);
+        if best.is_some()
+            && bucket
+                .iter()
+                .all(|o| scratch.best_matched.contains(o.edge as usize))
+        {
             continue;
         }
-        let dense = memo.get(ctx.buckets, ctx.config, key).clone();
+        let dense = memo.get(buckets, b).clone();
         // A sparse seed equal to the dense one (single-insertion bucket)
         // builds the identical candidate, which can never be strictly
         // better, so it is not built.
-        let sparse = sparse_first_row(bucket, ctx.config);
+        let sparse = sparse_first_row(bucket);
         let sparse = (sparse.pairs() != dense.pairs()).then_some(sparse);
+        let (r0, y0) = buckets.keys[b];
         for cols in std::iter::once(dense).chain(sparse) {
-            let candidate = build_candidate(ctx, key.0, key.1, cols, &mut scratch);
+            let candidate = build_candidate(ctx, r0, y0, cols, scratch);
             if best
                 .as_ref()
                 .is_none_or(|b| candidate.matched.len() > b.matched.len())
             {
-                best_matched.clear();
-                for &(u, v) in &candidate.matched {
-                    best_matched.insert(u, v);
-                }
+                // `stage_matched` holds exactly the candidate's matches.
+                scratch.best_matched.copy_from(&scratch.stage_matched);
                 best = Some(candidate);
             }
         }
@@ -754,8 +926,8 @@ fn build_candidate(
     active_cols: PairMatcher,
     scratch: &mut CandidateScratch,
 ) -> StageSolution {
-    let norm = |u: u32, v: u32| (u.min(v), u.max(v));
     let qubit_at = |row: usize, col: usize| -> Option<u32> { ctx.geom.qubit_at(row, col) };
+    let edge_id = |u: u32, v: u32| ctx.index.id(u, v).expect("committed crosses are edges");
     let used_rows = ctx.used_rows;
     let mut sol = StageSolution {
         active_cols,
@@ -769,14 +941,16 @@ fn build_candidate(
         stage_matched,
         pre_extension,
         evaluated,
+        new_matches,
+        ..
     } = scratch;
     stage_matched.clear();
 
-    // Commit the anchor row's matches.
+    // Commit the anchor row's matches: each seed pair is a bucket edge.
     sol.active_rows.push((r0, y0));
     for &(hc, tc) in sol.active_cols.pairs() {
         if let (Some(u), Some(v)) = (qubit_at(r0, hc), qubit_at(y0, tc)) {
-            stage_matched.insert(u, v);
+            stage_matched.insert(edge_id(u, v));
             sol.matched.push((u, v));
         }
     }
@@ -789,11 +963,8 @@ fn build_candidate(
             let mut count = 0usize;
             for &(hc, tc) in cols.pairs() {
                 if let (Some(u), Some(v)) = (qubit_at(aod_row, hc), qubit_at(y, tc)) {
-                    if ctx.edge_bits.fresh(matched, u, v) {
-                        count += 1;
-                    } else {
-                        return None;
-                    }
+                    ctx.fresh(matched, u, v)?;
+                    count += 1;
                 }
             }
             Some(count)
@@ -807,7 +978,7 @@ fn build_candidate(
             }
             for &(hc, tc) in sol.active_cols.pairs() {
                 if let (Some(u), Some(v)) = (qubit_at(aod_row, hc), qubit_at(y, tc)) {
-                    matched.insert(u, v);
+                    matched.insert(edge_id(u, v));
                     sol.matched.push((u, v));
                 }
             }
@@ -818,19 +989,12 @@ fn build_candidate(
     // home row is `aod_row` and target row is `y` — exactly that bucket's
     // signature — so empty rows can only ever score 0 and never win over
     // `None` under the strict `count > 0` guard.
-    let live_rows_of = |aod_row: usize| -> &[usize] {
-        ctx.buckets
-            .rows_of
-            .get(&aod_row)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    };
 
     // Downward sweep: AOD rows below the anchor map to SLM rows below y0.
     let mut last_y = y0;
     let mut parked_since = 0usize;
     for aod_row in (r0 + 1)..used_rows {
-        let live_rows = live_rows_of(aod_row);
+        let live_rows = ctx.buckets.live_rows(aod_row);
         let min_y = last_y + parked_since.max(1);
         let start = live_rows.partition_point(|&y| y < min_y);
         let mut best: Option<(usize, usize)> = None; // (count, y)
@@ -860,7 +1024,7 @@ fn build_candidate(
     let mut first_y = y0 as isize;
     let mut parked_above = 0isize;
     for aod_row in (0..r0).rev() {
-        let live_rows = live_rows_of(aod_row);
+        let live_rows = ctx.buckets.live_rows(aod_row);
         let max_y = first_y - parked_above.max(1);
         let mut best: Option<(usize, usize)> = None;
         if max_y >= 0 {
@@ -885,41 +1049,61 @@ fn build_candidate(
     // Column extension: with the rows fixed, try to grow the column
     // pattern. A new column pair is legal iff every committed row's cross
     // lands on a fresh remaining edge (or on a missing atom). Candidates
-    // stream from the incrementally-maintained oriented set; the filter
+    // come from the stage's oriented-edge stream; the `pre_extension`
     // snapshot keeps the original semantics (candidates were collected
     // against the pre-extension matched set, while per-row legality uses
     // the live one).
     if !ctx.options.column_extension {
         return sol;
     }
-    pre_extension.words.copy_from_slice(&stage_matched.words);
+    pre_extension.copy_from(stage_matched);
     // Distinct oriented edges can map onto the same `(home col, target
     // col)` pair; re-evaluating the pair with unchanged matcher state is
     // a no-op, so evaluations are version-stamped by the committed column
     // count (the only state — `active_cols` and `stage_matched` — that
-    // the legality scan reads moves exactly when a pair commits). The
-    // stamps live in a flat per-column-pair array: `usize::MAX` = never
-    // evaluated.
-    let slm_cols = ctx.config.slm().cols();
-    evaluated.fill(usize::MAX);
-    let mut version = sol.active_cols.pairs().len();
-    let mut new_matches: Vec<(u32, u32)> = Vec::new();
-    for &(src, tgt, hc, tc) in ctx.oriented {
-        // Stamp test first: it is one load and rejects every repeat of an
-        // already-evaluated pair, which is most of the stream. The order
-        // swap with the matched-edge test cannot change the outcome —
-        // the stamp is only *written* for unmatched proposing edges, so
-        // a pair still gets its evaluation at the first unmatched
-        // proposal, exactly as before.
-        let (hc, tc) = (hc as usize, tc as usize);
-        let stamp = &mut evaluated[hc * slm_cols + tc];
-        if *stamp == version {
+    // the legality scan reads moves exactly when a pair commits).
+    //
+    // The pair filter rides on the same stamps. A pair commits only with
+    // a new match: a committed row `(r, y)` whose cross is a fresh edge.
+    // That edge lies in bucket `(r, y)` with columns equal to the pair,
+    // and it was already fresh before the extension (`stage_matched` only
+    // grows here, and the remaining set is fixed within a stage). So only
+    // the pairs of those edges start at `NOT_YET`; every other pair is
+    // `NEVER` and is skipped by the stamp compare. A skipped evaluation
+    // could only have written its own stamp, and the proposed pairs keep
+    // their stream positions and their re-evaluation after each commit —
+    // which matters, since `can_insert` is not monotone as columns are
+    // added: only the cross condition may filter.
+    evaluated.fill(NEVER);
+    for &(r, y) in &sol.active_rows {
+        let b = ctx
+            .buckets
+            .bucket_at(r, y)
+            .expect("a committed row has a live bucket");
+        for o in ctx.buckets.edges(b) {
+            if !pre_extension.contains(o.edge as usize) {
+                evaluated[o.pair as usize] = NOT_YET;
+            }
+        }
+    }
+    let mut version = sol.active_cols.len() as u32;
+    debug_assert!(version > NOT_YET, "both seeds hold a pair");
+    for o in ctx.stream {
+        // Stamp test first: it is one load and rejects every filtered
+        // pair and every repeat of an already-evaluated one, which is
+        // most of the stream. The order swap with the matched-edge test
+        // cannot change the outcome — the stamp is only *written* for
+        // unmatched proposing edges, so a pair still gets its evaluation
+        // at the first unmatched proposal.
+        let stamp = &mut evaluated[o.pair as usize];
+        if *stamp >= version {
             continue;
         }
-        if pre_extension.contains(src, tgt) {
+        if pre_extension.contains(o.edge as usize) {
             continue;
         }
         *stamp = version;
+        let (hc, tc) = (o.hc as usize, o.tc as usize);
         if !sol.active_cols.can_insert(hc, tc) {
             continue;
         }
@@ -927,23 +1111,23 @@ fn build_candidate(
         let mut ok = true;
         for &(aod_row, y) in &sol.active_rows {
             if let (Some(u), Some(v)) = (qubit_at(aod_row, hc), qubit_at(y, tc)) {
-                let e = norm(u, v);
-                if ctx.edge_bits.fresh(stage_matched, u, v)
-                    && !new_matches.iter().any(|&(a, b)| norm(a, b) == e)
-                {
-                    new_matches.push((u, v));
-                } else {
-                    ok = false;
-                    break;
+                match ctx.fresh(stage_matched, u, v) {
+                    Some(e) if !new_matches.iter().any(|&(m, _, _)| m == e) => {
+                        new_matches.push((e, u, v));
+                    }
+                    _ => {
+                        ok = false;
+                        break;
+                    }
                 }
             }
         }
         if ok && !new_matches.is_empty() {
             let inserted = sol.active_cols.insert(hc, tc);
             debug_assert!(inserted, "can_insert pre-checked");
-            version = sol.active_cols.pairs().len();
-            for &(u, v) in &new_matches {
-                stage_matched.insert(u, v);
+            version = sol.active_cols.len() as u32;
+            for &(e, u, v) in new_matches.iter() {
+                stage_matched.insert(e);
                 sol.matched.push((u, v));
             }
         }
@@ -1033,6 +1217,35 @@ mod tests {
         assert!(!active.insert(3, 1));
         // target 3 offers 3 slots -> accept.
         assert!(active.insert(3, 3));
+
+        // Feasibility is not monotone as pairs are added: (4, 2) fails
+        // beside (0, 0) alone (3 parked lines, 2 slots) but fits once
+        // (2, 1) splits the gap. So the column extension re-evaluates a
+        // rejected pair after every commit, and its pair filter may
+        // only use the cross condition.
+        let mut active = PairMatcher::new();
+        assert!(active.insert(0, 0));
+        assert!(!active.can_insert(4, 2));
+        assert!(active.insert(2, 1));
+        assert!(active.can_insert(4, 2));
+    }
+
+    #[test]
+    fn edge_index_maps_both_orientations_to_the_rank() {
+        // Every pair of 0..40 with an even sum is an edge: 380 edges, so
+        // lookups probe past collisions, and half the pairs must miss.
+        let edges: Vec<(u32, u32)> = (0..40u32)
+            .flat_map(|u| ((u + 1)..40).map(move |v| (u, v)))
+            .filter(|&(u, v)| (u + v) % 2 == 0)
+            .collect();
+        let index = EdgeIndex::build(edges.clone());
+        for u in 0..40 {
+            for v in (u + 1)..40 {
+                let id = edges.binary_search(&(u, v)).ok();
+                assert_eq!(index.id(u, v), id, "({u}, {v})");
+                assert_eq!(index.id(v, u), id, "({v}, {u})");
+            }
+        }
     }
 
     #[test]

@@ -176,9 +176,6 @@ const NUMERIC_EDGES: [&str; 17] = [
 /// slot for every number: `#` takes a value of [`NUMERIC_EDGES`] as is,
 /// `$` takes it as text inside the QASM string. `shutdown` is left out:
 /// it ends the daemon, which the property's closing ping must reach.
-///
-/// A QAOA `qubits` slot (`@`) leaves out 65 535: the QAOA router holds
-/// about 1.5 GB for that many qubits before its first deadline check.
 const TEMPLATES: &[&str] = &[
     r#"{"op":"ping","request_id":#}"#,
     r#"{"op":"stats","request_id":#}"#,
@@ -188,9 +185,9 @@ const TEMPLATES: &[&str] = &[
     r#"{"op":"compile","qasm":"OPENQASM 2.0;\nqreg q[$];\ncz q[$], q[$];\nrz($) q[$];","schedule":false}"#,
     r#"{"op":"compile","router":"qsim","strings":["ZZI","IXX"],"theta":#,"max_copies":#,"cols":#}"#,
     r#"{"op":"compile","router":"qsim","strings":["ZZI","IXX"],"angles":[#,#]}"#,
-    r#"{"op":"compile","router":"qaoa","qubits":@,"edges":[[#,#],[#,#]],"gammas":[#],"betas":[#],"anchors":#}"#,
+    r#"{"op":"compile","router":"qaoa","qubits":#,"edges":[[#,#],[#,#]],"gammas":[#],"betas":[#],"anchors":#}"#,
     r#"{"op":"compile","router":"qec","distance":#,"rounds":#,"theta":#,"parallel_waves":true}"#,
-    r#"{"op":"compile","router":"auto","qubits":@,"edges":[[#,#]],"gamma":#}"#,
+    r#"{"op":"compile","router":"auto","qubits":#,"edges":[[#,#]],"gamma":#}"#,
     r#"{"op":"compile","router":"auto","distance":#,"rounds":#,"deadline_ms":#}"#,
 ];
 
@@ -205,10 +202,6 @@ fn arb_numeric_edge_line() -> impl Strategy<Value = String> {
             match c {
                 '#' => line.push_str(pick()),
                 '$' => line.push_str(&pick().replace('"', "\\\"")),
-                '@' => line.push_str(match pick() {
-                    "65535" => "65537",
-                    other => other,
-                }),
                 c => line.push(c),
             }
         }
