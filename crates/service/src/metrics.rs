@@ -2,8 +2,8 @@
 //!
 //! The histograms here cover the serving tier: end-to-end request
 //! latency labelled by serving path, and the service-side pipeline
-//! spans (`parse`, `fingerprint`, `cache_probe`, `serialise`,
-//! `store_write`). The router stage histograms live in
+//! spans (`parse`, `fingerprint`, `cache_probe`, `queue_wait`,
+//! `serialise`, `store_write`). The router stage histograms live in
 //! [`qpilot_core::obs::ROUTE_STAGES`];
 //! [`render_exposition`] snapshots both registries plus the service
 //! counters once and renders Prometheus **text exposition format
@@ -51,16 +51,20 @@ pub static STAGE_PARSE: Histogram = Histogram::new();
 pub static STAGE_FINGERPRINT: Histogram = Histogram::new();
 /// Time spent probing the schedule cache.
 pub static STAGE_CACHE_PROBE: Histogram = Histogram::new();
+/// Time a miss's compile job waits between being made for the job
+/// queue and a worker taking it.
+pub static STAGE_QUEUE_WAIT: Histogram = Histogram::new();
 /// Time spent serialising a compiled schedule to its canonical JSON.
 pub static STAGE_SERIALISE: Histogram = Histogram::new();
 /// Time spent persisting a compiled schedule to the store.
 pub static STAGE_STORE_WRITE: Histogram = Histogram::new();
 
 /// Every service-side pipeline span, in exposition order.
-pub static SERVICE_STAGES: [(&str, &Histogram); 5] = [
+pub static SERVICE_STAGES: [(&str, &Histogram); 6] = [
     ("parse", &STAGE_PARSE),
     ("fingerprint", &STAGE_FINGERPRINT),
     ("cache_probe", &STAGE_CACHE_PROBE),
+    ("queue_wait", &STAGE_QUEUE_WAIT),
     ("serialise", &STAGE_SERIALISE),
     ("store_write", &STAGE_STORE_WRITE),
 ];

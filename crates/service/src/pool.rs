@@ -398,6 +398,9 @@ struct Job {
     cancel: CancelToken,
     /// The effective deadline, for rendering [`ServiceError::Deadline`].
     deadline_ms: Option<u64>,
+    /// When the job was made for the queue, while instrumentation is
+    /// on; a worker taking it records the wait as `queue_wait`.
+    enqueued: Option<Instant>,
 }
 
 /// State shared with worker threads.
@@ -597,6 +600,9 @@ impl Service {
                             Ok(job) => job,
                             Err(_) => break, // queue closed: shut down
                         };
+                        if let Some(enqueued) = job.enqueued {
+                            crate::metrics::STAGE_QUEUE_WAIT.observe(enqueued.elapsed());
+                        }
                         // Contain panics: the wire layer validates inputs,
                         // but a panicking job must cost one response, not
                         // a worker thread (a shrinking pool would end in
@@ -778,6 +784,7 @@ impl Service {
                 reply,
                 cancel: deadline_at.map_or_else(CancelToken::default, CancelToken::with_deadline),
                 deadline_ms,
+                enqueued: obs::enabled().then(Instant::now),
             };
             if let Err(e) = self.enqueue(job, fail_fast) {
                 // Leadership failed before a worker could take over: the
@@ -1012,6 +1019,42 @@ mod tests {
             .expect("cold compile");
         assert!(!response.cache_hit);
         assert!(crate::metrics::STAGE_SERIALISE.count() > before);
+    }
+
+    /// Each miss records how long its job waited for a worker into the
+    /// `queue_wait` stage. With one worker stalled on a first job, a
+    /// second job queued behind it waits about the stall. The histogram
+    /// is process-global, so only growth and the maximum are asserted.
+    #[test]
+    fn a_miss_records_its_queue_wait() {
+        const STALL_MS: u64 = 400;
+        obs::set_enabled(true);
+        let queue_wait = &crate::metrics::STAGE_QUEUE_WAIT;
+        let before = queue_wait.count();
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            faults: crate::faults::FaultSpec::parse(&format!("worker-stall={STALL_MS}:1")).unwrap(),
+            ..config()
+        });
+        let first = {
+            let svc = svc.clone();
+            std::thread::spawn(move || svc.compile(CompileRequest::new(small_circuit(5))))
+        };
+        // The second job is queued once the stalled worker holds the first.
+        while queue_wait.count() == before {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let second = svc
+            .compile(CompileRequest::new(small_circuit(6)))
+            .expect("queued compile");
+        assert!(!second.cache_hit);
+        assert!(!first.join().unwrap().expect("stalled compile").cache_hit);
+        assert!(queue_wait.count() >= before + 2);
+        let waited = queue_wait.snapshot().max_ns();
+        assert!(
+            waited >= (STALL_MS / 4) * 1_000_000,
+            "the longest queue wait was {waited} ns"
+        );
     }
 
     #[test]

@@ -72,7 +72,9 @@
 //! transient conditions (`"retry_after_ms"` hints the backoff for
 //! overload), and `"deadline":true` marks a missed deadline.
 
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use qpilot_circuit::{Circuit, Gate, PauliString};
@@ -80,7 +82,7 @@ use qpilot_core::generic::GenericRouterOptions;
 use qpilot_core::json::{self, json_str, Head, Item, JsonError, Kind, Reader};
 use qpilot_core::obs;
 use qpilot_core::qsim::QsimRouterOptions;
-use qpilot_core::wire::{read_gate, write_gate, FloatTable};
+use qpilot_core::wire::{read_gate, write_gate, FloatTable, WireError};
 use qpilot_core::{QaoaOptions, QecOptions, RouterOptions, RouterTag, ScheduleStats, Workload};
 
 use crate::events::{self, Field};
@@ -137,12 +139,12 @@ pub fn next_request_id() -> String {
     format!("r-{:x}", NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed))
 }
 
-/// The top-level keys the request decoder reads.
-const FIELDS: [&str; 24] = [
+/// The top-level keys the request decoder reads as items; `circuit` is
+/// decoded on its own ([`Fields::circuit`]).
+const FIELDS: [&str; 23] = [
     "op",
     "request_id",
     "router",
-    "circuit",
     "qasm",
     "strings",
     "theta",
@@ -165,21 +167,28 @@ const FIELDS: [&str; 24] = [
     "deadline_ms",
 ];
 
-/// A request line's top-level fields, collected by one validating pass:
-/// the first occurrence of each key in [`FIELDS`], compared after escape
-/// decoding, read shallowly (a container is kept as its text for the
-/// decoder to walk once more). Other keys are validated and dropped, so
-/// the table has a fixed size whatever the line holds.
+/// A request line's top-level fields, collected by the one pass that
+/// validates the line: the first occurrence of each key in [`FIELDS`],
+/// compared after escape decoding and read shallowly (a container is
+/// kept as its text for the decoder to walk once more), and the first
+/// `circuit`, decoded on the line's own reader as the pass meets it.
+/// Other keys are validated and dropped, so the table has a fixed size
+/// whatever the line holds.
 pub(crate) struct Fields<'a> {
     items: [Option<Item<'a>>; FIELDS.len()],
+    /// The first `circuit`: the decoded circuit, or the first fault
+    /// [`read_circuit`] found in it.
+    circuit: Option<Result<Circuit, String>>,
 }
 
 impl<'a> Fields<'a> {
     /// Validates `line` as one JSON document and collects its fields; a
-    /// document that is not an object has none.
+    /// document that is not an object has none. A JSON error anywhere in
+    /// the line is the error, even after a fault in the circuit.
     pub(crate) fn read(line: &'a str) -> Result<Fields<'a>, JsonError> {
         let mut fields = Fields {
             items: Default::default(),
+            circuit: None,
         };
         let mut r = Reader::new(line);
         if r.peek()? == Kind::Obj {
@@ -187,6 +196,9 @@ impl<'a> Fields<'a> {
             while let Some(key) = r.next_key()? {
                 match FIELDS.iter().position(|k| key == *k) {
                     Some(i) if fields.items[i].is_none() => fields.items[i] = Some(r.item()?),
+                    None if key == "circuit" && fields.circuit.is_none() => {
+                        fields.circuit = Some(read_circuit(&mut r)?);
+                    }
                     _ => {
                         r.skip()?;
                     }
@@ -205,6 +217,15 @@ impl<'a> Fields<'a> {
         let i = FIELDS.iter().position(|k| *k == key);
         debug_assert!(i.is_some(), "`{key}` is not one of FIELDS");
         self.items[i?].as_ref()
+    }
+
+    /// Whether the line has the field `key`, one of [`FIELDS`] or
+    /// `circuit`, whatever its value.
+    fn has(&self, key: &str) -> bool {
+        match key {
+            "circuit" => self.circuit.is_some(),
+            _ => self.get(key).is_some(),
+        }
     }
 }
 
@@ -226,10 +247,13 @@ fn request_id_from(fields: &Fields<'_>) -> Result<Option<String>, String> {
 
 /// Parses one request line.
 ///
-/// The line is read twice at most: one validating pass collects its
-/// top-level fields, so a line that is not JSON gets the JSON error
-/// first, and the decoder then walks the fields it needs straight into
-/// the [`Request`]. No JSON tree is built.
+/// One validating pass reads the line and decodes its `circuit` on the
+/// way, so a line that is not JSON gets the JSON error first, wherever
+/// it sits. The checks then run on the collected fields in a fixed
+/// order: `request_id`, `op`, the router, foreign fields, the workload
+/// (the circuit's own fault among them), `cols`, `schedule` and
+/// `deadline_ms`. The small containers of the other routers are walked
+/// once more from their text. No JSON tree is built.
 ///
 /// # Errors
 ///
@@ -237,12 +261,12 @@ fn request_id_from(fields: &Fields<'_>) -> Result<Option<String>, String> {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let fields = Fields::read(line).map_err(|e| e.to_string())?;
     let request_id = request_id_from(&fields)?;
-    parse_request_doc(&fields, request_id)
+    parse_request_doc(fields, request_id)
 }
 
 /// [`parse_request`] over a line's fields; `request_id` is attached to
 /// compile requests so it survives coalescing.
-fn parse_request_doc(doc: &Fields<'_>, request_id: Option<String>) -> Result<Request, String> {
+fn parse_request_doc(mut doc: Fields<'_>, request_id: Option<String>) -> Result<Request, String> {
     let op = doc
         .get("op")
         .and_then(Item::as_str)
@@ -257,19 +281,19 @@ fn parse_request_doc(doc: &Fields<'_>, request_id: Option<String>) -> Result<Req
             let router = match doc.get("router") {
                 None | Some(Item::Null) => RouterTag::Generic,
                 Some(v) => match v.as_str().ok_or("`router` must be a string")? {
-                    "auto" => sniff_router(doc)?,
+                    "auto" => sniff_router(&doc)?,
                     name => RouterTag::parse(name).ok_or_else(|| {
                         format!("unknown router `{name}` (auto|generic|qsim|qaoa|qec)")
                     })?,
                 },
             };
             let (workload, options) = match router {
-                RouterTag::Generic => generic_workload(doc)?,
-                RouterTag::Qsim => qsim_workload(doc)?,
-                RouterTag::Qaoa => qaoa_workload(doc)?,
-                RouterTag::Qec => qec_workload(doc)?,
+                RouterTag::Generic => generic_workload(&mut doc)?,
+                RouterTag::Qsim => qsim_workload(&doc)?,
+                RouterTag::Qaoa => qaoa_workload(&doc)?,
+                RouterTag::Qec => qec_workload(&doc)?,
             };
-            let cols = opt_positive(doc, "cols")?;
+            let cols = opt_positive(&doc, "cols")?;
             within_wire_limit("cols", cols.unwrap_or(0) as u64)?;
             let include_schedule = match doc.get("schedule") {
                 None => true,
@@ -321,7 +345,7 @@ const FAMILY_MARKERS: [(&str, RouterTag); 6] = [
 fn sniff_router(doc: &Fields<'_>) -> Result<RouterTag, String> {
     let mut inferred: Option<(RouterTag, &str)> = None;
     for (key, tag) in FAMILY_MARKERS {
-        if doc.get(key).is_none() {
+        if !doc.has(key) {
             continue;
         }
         match inferred {
@@ -359,7 +383,7 @@ fn reject_foreign_fields(
     foreign: &[&str],
 ) -> Result<(), String> {
     for key in foreign {
-        if doc.get(key).is_some() {
+        if doc.has(key) {
             return Err(format!("`{key}` is not a `{router}` router field"));
         }
     }
@@ -385,7 +409,7 @@ fn elements<'a, E, T>(
 
 type ParsedWorkload = (Workload, Option<RouterOptions>);
 
-fn generic_workload(doc: &Fields<'_>) -> Result<ParsedWorkload, String> {
+fn generic_workload(doc: &mut Fields<'_>) -> Result<ParsedWorkload, String> {
     reject_foreign_fields(doc, RouterTag::Generic, &["strings", "edges", "gammas"])?;
     let options = opt_positive(doc, "stage_cap")?
         .map(|cap| GenericRouterOptions {
@@ -553,10 +577,10 @@ fn qec_workload(doc: &Fields<'_>) -> Result<ParsedWorkload, String> {
 
 /// Extracts the circuit from a compile request: either an inline
 /// `"circuit"` object or a `"qasm"` source string (exactly one).
-fn circuit_from_request(doc: &Fields<'_>) -> Result<Circuit, String> {
-    let (field, circuit) = match (doc.get("circuit"), doc.get("qasm")) {
+fn circuit_from_request(doc: &mut Fields<'_>) -> Result<Circuit, String> {
+    let (field, circuit) = match (doc.circuit.take(), doc.get("qasm")) {
         (Some(_), Some(_)) => return Err("give either `circuit` or `qasm`, not both".into()),
-        (Some(c), None) => ("num_qubits", read_circuit(c)?),
+        (Some(c), None) => ("num_qubits", c?),
         (None, Some(q)) => {
             let src = q.as_str().ok_or("`qasm` must be a string")?;
             ("qasm", Circuit::from_qasm(src).map_err(|e| e.to_string())?)
@@ -571,29 +595,49 @@ const NEEDS_QUBITS: &str = "circuit needs integer `num_qubits`";
 const NEEDS_GATES: &str = "circuit needs a `gates` array";
 
 /// Decodes the wire circuit object `{"num_qubits":N,"gates":[…]}` (gates
-/// in the compact encoding of [`read_gate`]) in one walk over its text.
-/// Gates go straight into the circuit once `num_qubits` is known. Gates
-/// that come before it are collected and pushed when the object closes,
-/// and their first fault waits too, since `num_qubits` is checked first.
-fn read_circuit(item: &Item<'_>) -> Result<Circuit, String> {
-    let json = |e: JsonError| e.to_string();
-    let mut r = item.as_obj().ok_or(NEEDS_QUBITS)?;
-    let (mut circuit, mut early, mut gates) = (None, Vec::new(), None);
-    r.begin_object().map_err(json)?;
-    while let Some(key) = r.next_key().map_err(json)? {
-        if key == "num_qubits" && circuit.is_none() {
-            let n = r.item().map_err(json)?.as_u32().ok_or(NEEDS_QUBITS)?;
-            circuit = Some(Circuit::new(n));
+/// in the compact encoding of [`read_gate`]) at `r`, as part of the pass
+/// that validates the whole line. A JSON error ends the read. The
+/// circuit's first fault is the inner error; the rest of the value is
+/// still validated, since a JSON error later in the line beats it. Gates
+/// go straight into the circuit once `num_qubits` is known. Gates that
+/// come before it are collected and pushed when the object closes, and
+/// their first fault waits too, since `num_qubits` is checked first. A
+/// value that is not an object has no `num_qubits`.
+fn read_circuit(r: &mut Reader<'_>) -> Result<Result<Circuit, String>, JsonError> {
+    if r.peek()? != Kind::Obj {
+        r.skip()?;
+        return Ok(Err(NEEDS_QUBITS.into()));
+    }
+    let (mut circuit, mut early, mut gates, mut fault) = (None, Vec::new(), None, None);
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        if fault.is_some() {
+            r.skip()?;
+        } else if key == "num_qubits" && circuit.is_none() {
+            match r.item()?.as_u32() {
+                Some(n) => circuit = Some(Circuit::new(n)),
+                None => fault = Some(NEEDS_QUBITS.to_string()),
+            }
         } else if key == "gates" && gates.is_none() {
-            let read = read_gates(&mut r, circuit.as_mut(), &mut early);
-            gates = Some(match circuit {
-                Some(_) => read.map(|()| Ok(()))?,
-                None => read,
-            });
+            match read_gates(r, circuit.as_mut(), &mut early)? {
+                Err(e) if circuit.is_some() => fault = Some(e),
+                read => gates = Some(read),
+            }
         } else {
-            r.skip().map_err(json)?;
+            r.skip()?;
         }
     }
+    Ok(fault.map_or_else(|| close_circuit(circuit, early, gates), Err))
+}
+
+/// The circuit once its object has closed with no fault decided on the
+/// way: `num_qubits`, then the gates that came before it, then the first
+/// fault of those gates.
+fn close_circuit(
+    circuit: Option<Circuit>,
+    early: Vec<Gate>,
+    gates: Option<Result<(), String>>,
+) -> Result<Circuit, String> {
     let mut circuit = circuit.ok_or(NEEDS_QUBITS)?;
     for gate in early {
         circuit.push(gate).map_err(|e| e.to_string())?;
@@ -602,35 +646,38 @@ fn read_circuit(item: &Item<'_>) -> Result<Circuit, String> {
     Ok(circuit)
 }
 
-/// Walks a `gates` array up to its first fault, pushing each gate into
-/// `circuit`, or into `early` while there is none, and skips the rest.
+/// Walks a `gates` array, pushing each gate into `circuit`, or into
+/// `early` while there is none, up to its first fault, which is the
+/// inner error; the rest of the array is only validated.
 fn read_gates(
     r: &mut Reader<'_>,
     mut circuit: Option<&mut Circuit>,
     early: &mut Vec<Gate>,
-) -> Result<(), String> {
-    let json = |e: JsonError| e.to_string();
-    if r.peek().map_err(json)? != Kind::Arr {
-        r.skip().map_err(json)?;
-        return Err(NEEDS_GATES.into());
+) -> Result<Result<(), String>, JsonError> {
+    if r.peek()? != Kind::Arr {
+        r.skip()?;
+        return Ok(Err(NEEDS_GATES.into()));
     }
-    r.begin_array().map_err(json)?;
+    r.begin_array()?;
     let mut fault = Ok(());
-    while r.next_element().map_err(json)? {
+    while r.next_element()? {
         if fault.is_err() {
-            r.skip().map_err(json)?;
+            r.skip()?;
             continue;
         }
-        let gate = read_gate(r).map_err(|e| e.to_string());
-        fault = gate.and_then(|gate| match circuit.as_deref_mut() {
-            Some(circuit) => circuit.push(gate).map_err(|e| e.to_string()),
-            None => {
-                early.push(gate);
-                Ok(())
-            }
-        });
+        fault = match read_gate(r) {
+            Ok(gate) => match circuit.as_deref_mut() {
+                Some(circuit) => circuit.push(gate).map_err(|e| e.to_string()),
+                None => {
+                    early.push(gate);
+                    Ok(())
+                }
+            },
+            Err(WireError::Json(e)) => return Err(e),
+            Err(e) => Err(e.to_string()),
+        };
     }
-    fault
+    Ok(fault)
 }
 
 /// Serialises a circuit into the wire object that a compile request's
@@ -808,18 +855,23 @@ fn write_stats_obj(out: &mut String, stats: &ScheduleStats) {
 /// Renders a compile response line. `request_id` is the effective id
 /// for this request (client-supplied or daemon-assigned); `"path"` is
 /// [`CompileResponse::path`]. The pre-observability `"cache"` field
-/// stays unchanged for existing clients.
+/// stays unchanged for existing clients. The transports write the same
+/// line in parts, the schedule by reference; this joins them.
 pub fn render_compile_response(
     response: &CompileResponse,
     include_schedule: bool,
     request_id: &str,
 ) -> String {
+    compile_reply(response, include_schedule, request_id)
+        .join()
+        .response
+}
+
+/// A compile reply in its parts: the rendered head, then, when the
+/// schedule is included, the cache entry's shared schedule text.
+fn compile_reply(response: &CompileResponse, include_schedule: bool, request_id: &str) -> Reply {
     let entry = &response.entry;
-    let mut out = String::with_capacity(if include_schedule {
-        entry.schedule_json.len() + 256
-    } else {
-        256
-    });
+    let mut out = String::with_capacity(256);
     out.push_str("{\"ok\":true,\"op\":\"compile\",\"request_id\":");
     out.push_str(&json_str(request_id));
     out.push_str(",\"path\":\"");
@@ -840,12 +892,16 @@ pub fn render_compile_response(
     out.push_str(&json::fmt_f64(round6(entry.compile_s * 1e3)));
     out.push_str(",\"stats\":");
     write_stats_obj(&mut out, &entry.stats);
-    if include_schedule {
-        out.push_str(",\"schedule\":");
-        out.push_str(&entry.schedule_json);
+    if !include_schedule {
+        out.push('}');
+        return Reply::line(out);
     }
-    out.push('}');
-    out
+    out.push_str(",\"schedule\":");
+    Reply {
+        head: out,
+        schedule: Some(Arc::clone(&entry.schedule_json)),
+        shutdown: false,
+    }
 }
 
 /// Renders a stats response line: the service counters plus the
@@ -1032,11 +1088,82 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
+/// A reply line as the transports write it: `head`, then, for a compile
+/// reply that carries its schedule, the cache entry's shared schedule
+/// text and the closing `}`, then the newline ([`Reply::tail`]). A hit
+/// so holds its schedule by reference, not by a copy.
+pub(crate) struct Reply {
+    /// The line up to the schedule, or the whole line.
+    pub(crate) head: String,
+    /// The cached schedule the line carries.
+    pub(crate) schedule: Option<Arc<str>>,
+    /// `true` after a `shutdown` request.
+    pub(crate) shutdown: bool,
+}
+
+impl Reply {
+    /// A reply whose `head` is the whole line.
+    pub(crate) fn line(head: String) -> Reply {
+        Reply {
+            head,
+            schedule: None,
+            shutdown: false,
+        }
+    }
+
+    /// The bytes after the schedule, or after `head` when there is none.
+    pub(crate) fn tail(&self) -> &'static [u8] {
+        match self.schedule {
+            Some(_) => b"}\n",
+            None => b"\n",
+        }
+    }
+
+    /// Writes the line and its newline to `out`, the schedule from its
+    /// shared text.
+    pub(crate) fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(self.head.as_bytes())?;
+        if let Some(schedule) = &self.schedule {
+            out.write_all(schedule.as_bytes())?;
+        }
+        out.write_all(self.tail())
+    }
+
+    /// The line joined into one string, without its newline.
+    fn join(self) -> Handled {
+        let mut response = self.head;
+        if let Some(schedule) = self.schedule {
+            response.reserve_exact(schedule.len() + 1);
+            response.push_str(&schedule);
+            response.push('}');
+        }
+        Handled {
+            response,
+            shutdown: self.shutdown,
+        }
+    }
+}
+
+impl From<Handled> for Reply {
+    fn from(handled: Handled) -> Reply {
+        Reply {
+            head: handled.response,
+            schedule: None,
+            shutdown: handled.shutdown,
+        }
+    }
+}
+
 /// Parses and executes one request line against `service`. Never panics
 /// on malformed input; every failure becomes an `{"ok":false}` line
 /// echoing the request id (the client's when one survived parsing, a
 /// daemon-assigned `r-<hex>` otherwise).
 pub fn handle_line(service: &Service, line: &str) -> Handled {
+    reply_to(service, line).join()
+}
+
+/// [`handle_line`] with the reply in the parts the transports write.
+pub(crate) fn reply_to(service: &Service, line: &str) -> Reply {
     let line = line.trim();
     let started = Instant::now();
     // The parse span covers the validating pass plus request decoding;
@@ -1051,7 +1178,7 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
                 Err(e) => Err((e.to_string(), None)),
                 Ok(doc) => match request_id_from(&doc) {
                     Err(message) => Err((message, None)),
-                    Ok(rid) => match parse_request_doc(&doc, rid.clone()) {
+                    Ok(rid) => match parse_request_doc(doc, rid.clone()) {
                         Ok(request) => Ok((request, rid)),
                         Err(message) => Err((message, rid)),
                     },
@@ -1070,39 +1197,26 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
                     ("ok", Field::Bool(false)),
                 ],
             );
-            return Handled {
-                response: render_error(&message, false, &rid),
-                shutdown: false,
-            };
+            return Reply::line(render_error(&message, false, &rid));
         }
         Ok((request, rid)) => (request, rid.unwrap_or_else(next_request_id)),
     };
     match request {
-        Request::Ping => Handled {
-            response: format!(
-                "{{\"ok\":true,\"op\":\"pong\",\"request_id\":{}}}",
-                json_str(&rid)
-            ),
-            shutdown: false,
-        },
-        Request::Stats => Handled {
-            response: render_stats_response(&service.stats(), &rid),
-            shutdown: false,
-        },
-        Request::StoreStats => Handled {
-            response: render_store_stats_response(&service.store_stats(), &rid),
-            shutdown: false,
-        },
-        Request::Metrics => Handled {
-            response: render_metrics_response(service, &rid),
-            shutdown: false,
-        },
-        Request::Shutdown => Handled {
-            response: format!(
+        Request::Ping => Reply::line(format!(
+            "{{\"ok\":true,\"op\":\"pong\",\"request_id\":{}}}",
+            json_str(&rid)
+        )),
+        Request::Stats => Reply::line(render_stats_response(&service.stats(), &rid)),
+        Request::StoreStats => {
+            Reply::line(render_store_stats_response(&service.store_stats(), &rid))
+        }
+        Request::Metrics => Reply::line(render_metrics_response(service, &rid)),
+        Request::Shutdown => Reply {
+            shutdown: true,
+            ..Reply::line(format!(
                 "{{\"ok\":true,\"op\":\"shutdown\",\"request_id\":{}}}",
                 json_str(&rid)
-            ),
-            shutdown: true,
+            ))
         },
         Request::Compile {
             request,
@@ -1126,14 +1240,8 @@ pub fn handle_line(service: &Service, line: &str) -> Handled {
                 ],
             );
             match result {
-                Ok(response) => Handled {
-                    response: render_compile_response(&response, include_schedule, &rid),
-                    shutdown: false,
-                },
-                Err(e) => Handled {
-                    response: render_service_error(&e, &rid),
-                    shutdown: false,
-                },
+                Ok(response) => compile_reply(&response, include_schedule, &rid),
+                Err(e) => Reply::line(render_service_error(&e, &rid)),
             }
         }
     }
@@ -1160,7 +1268,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).rz(2, -0.5).zz(1, 2, 0.25).swap(0, 2);
         let encoded = circuit_to_value_json(&c);
-        let back = read_circuit(&Item::Obj(&encoded)).unwrap();
+        let back = read_circuit(&mut Reader::new(&encoded)).unwrap().unwrap();
         assert_eq!(back, c);
     }
 
@@ -1581,7 +1689,13 @@ mod tests {
     /// out of order, duplicate keys (the first wins), escaped keys,
     /// whitespace, unknown nested keys, lenient numbers, the depth edge,
     /// a `null` family marker under `router:"auto"`, JSON errors, and one
-    /// row for each message a single fault reaches.
+    /// row for each message a single fault reaches. The rows from "gate
+    /// fault, then a json error later in the line" on were captured from
+    /// the decoder that walked the circuit's text a second time, before
+    /// the circuit moved into the validating pass; they pin the order
+    /// that pass keeps: a JSON error anywhere beats a fault in the
+    /// circuit, and a faulty circuit is judged only where the checks
+    /// reach it.
     #[test]
     fn request_decode_decisions_match_the_table() {
         let rows: Vec<(&str, String, Result<&str, &str>)> = vec![
@@ -2174,6 +2288,106 @@ mod tests {
                 r#"json missing colon"#,
                 r#"{"op" "ping"}"#.to_string(),
                 Err(r#"json error at byte 6: expected `:`"#),
+            ),
+            (
+                r#"gate fault, then a json error later in the line"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]]},"x":tru}"#.to_string(),
+                Err(r#"json error at byte 63: invalid literal"#),
+            ),
+            (
+                r#"gate fault, then a json error later in the gates"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"],["cz",0,1],[1,]]}}"#.to_string(),
+                Err(r#"json error at byte 71: invalid number"#),
+            ),
+            (
+                r#"gate fault under ping"#,
+                r#"{"op":"ping","circuit":{"num_qubits":2,"gates":[["q"]]}}"#.to_string(),
+                Ok(r#"Ping"#),
+            ),
+            (
+                r#"gate fault under qsim"#,
+                r#"{"op":"compile","router":"qsim","circuit":{"num_qubits":2,"gates":[["q"]]},"strings":["ZZ"],"theta":0.5}"#.to_string(),
+                Err(r#"`circuit` is not a `qsim` router field"#),
+            ),
+            (
+                r#"gate fault, request_id not a string"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]]},"request_id":7}"#.to_string(),
+                Err(r#"`request_id` must be a string"#),
+            ),
+            (
+                r#"gate fault, unknown op"#,
+                r#"{"circuit":{"num_qubits":2,"gates":[["q"]]},"op":"nope"}"#.to_string(),
+                Err(r#"unknown op `nope`"#),
+            ),
+            (
+                r#"gate fault, then stage_cap zero"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]]},"stage_cap":0}"#.to_string(),
+                Err(r#"`stage_cap` must be a positive integer"#),
+            ),
+            (
+                r#"gate fault, then cols zero"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]]},"cols":0}"#.to_string(),
+                Err(r#"schedule schema error: unknown gate mnemonic `q`"#),
+            ),
+            (
+                r#"gate fault, then too deep inside circuit"#,
+                [r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]],"x":"#, &r#"["#.repeat(127), r#"1"#, &r#"]"#.repeat(127), r#"}}"#].concat(),
+                Err(r#"json error at byte 189: nesting deeper than 128 levels"#),
+            ),
+            (
+                r#"num_qubits fault, then a json error"#,
+                r#"{"op":"compile","circuit":{"num_qubits":-1,"gates":[]},"x":tru}"#.to_string(),
+                Err(r#"json error at byte 59: invalid literal"#),
+            ),
+            (
+                r#"gate fault before num_qubits, then num_qubits fault"#,
+                r#"{"op":"compile","circuit":{"gates":[["q"]],"num_qubits":"x"}}"#.to_string(),
+                Err(r#"circuit needs integer `num_qubits`"#),
+            ),
+            (
+                r#"early gate out of range, then a gate fault, before num_qubits"#,
+                r#"{"op":"compile","circuit":{"gates":[["cz",0,5],["q"]],"num_qubits":2}}"#.to_string(),
+                Err(r#"qubit q5 out of range for circuit of 2 qubits"#),
+            ),
+            (
+                r#"gate fault, then a second gate fault"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["cz",0,5],["q"]]}}"#.to_string(),
+                Err(r#"qubit q5 out of range for circuit of 2 qubits"#),
+            ),
+            (
+                r#"gate fault before num_qubits, then no gates kept"#,
+                r#"{"op":"compile","circuit":{"gates":[["q"]],"gates":[],"num_qubits":2}}"#.to_string(),
+                Err(r#"schedule schema error: unknown gate mnemonic `q`"#),
+            ),
+            (
+                r#"circuit null"#,
+                r#"{"op":"compile","circuit":null}"#.to_string(),
+                Err(r#"circuit needs integer `num_qubits`"#),
+            ),
+            (
+                r#"circuit object under qec"#,
+                r#"{"op":"compile","router":"qec","distance":3,"circuit":{"num_qubits":2,"gates":[["q"]]}}"#.to_string(),
+                Err(r#"`circuit` is not a `qec` router field"#),
+            ),
+            (
+                r#"gate fault and qasm"#,
+                r#"{"op":"compile","circuit":{"num_qubits":2,"gates":[["q"]]},"qasm":"qreg q[2];"}"#.to_string(),
+                Err(r#"give either `circuit` or `qasm`, not both"#),
+            ),
+            (
+                r#"gate fault, circuit too wide"#,
+                r#"{"op":"compile","circuit":{"num_qubits":70000,"gates":[["q"]]}}"#.to_string(),
+                Err(r#"schedule schema error: unknown gate mnemonic `q`"#),
+            ),
+            (
+                r#"circuit not an object, then a json error"#,
+                r#"{"op":"compile","circuit":[["q"]],"x":tru}"#.to_string(),
+                Err(r#"json error at byte 38: invalid literal"#),
+            ),
+            (
+                r#"gate fault under auto with strings"#,
+                r#"{"op":"compile","router":"auto","circuit":{"num_qubits":2,"gates":[["q"]]},"strings":["ZZ"]}"#.to_string(),
+                Err(r#"ambiguous `auto` compile: `circuit` implies the `generic` router but `strings` implies `qsim`"#),
             ),
         ];
         let mut wrong = Vec::new();

@@ -4,10 +4,11 @@
 //! [`netpoll::Poller`] (epoll on Linux), runs nonblocking per-connection
 //! read/write state machines, and hands complete request lines to a
 //! pool of *dispatcher* threads. Dispatchers call the pluggable
-//! [`LineHandler`] — for `qpilotd` that is
-//! [`handle_line`](crate::protocol::handle_line) against the worker-pool
-//! [`Service`](crate::pool::Service) — and push completions back over a
-//! channel, waking the reactor through a pipe ([`netpoll::Waker`]).
+//! handler — for `qpilotd` ([`serve_tcp`](crate::server::serve_tcp))
+//! the protocol's own handler against the worker-pool
+//! [`Service`](crate::pool::Service), for other callers a
+//! [`LineHandler`] — and push completions back over a channel, waking
+//! the reactor through a pipe ([`netpoll::Waker`]).
 //!
 //! The dispatcher pool exists because the service API is deliberately
 //! blocking: a compile miss parks its caller in the coalescing waiter
@@ -34,13 +35,19 @@
 //! * a handler that panics is answered with an `{"ok":false}` line
 //!   naming the panic, and its dispatcher lives on.
 //!
+//! Replies wait in a per-connection queue of chunks: a reply's own
+//! bytes, a cached schedule shared with the cache (a hit's reply holds
+//! its schedule by reference), and a static tail. The queue is written
+//! with vectored writes, and each chunk is dropped once it is written.
+//!
 //! Memory stays bounded without blocking the reactor: a connection with
-//! 256 requests in flight or 4 MiB of unflushed replies has its read
-//! interest dropped (the bytes wait in the kernel socket buffer) until
-//! the backlog clears — level-triggered polling makes resumption free.
+//! 256 requests in flight or 4 MiB of unflushed replies, shared schedule
+//! bytes included, has its read interest dropped (the bytes wait in the
+//! kernel socket buffer) until the backlog clears — level-triggered
+//! polling makes resumption free.
 
-use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,15 +60,19 @@ use std::time::{Duration, Instant};
 use netpoll::{Interest, Poller, Waker};
 
 use crate::pool::panic_message;
-use crate::protocol::{next_request_id, render_error, Handled};
+use crate::protocol::{next_request_id, render_error, Handled, Reply};
 use crate::server::{Frame, LineFramer};
 
 /// The per-request callback: one request line in (newline stripped,
 /// never blank), one [`Handled`] out. Runs on a dispatcher thread, so
-/// it may block. `qpilotd` plugs in
-/// [`handle_line`](crate::protocol::handle_line); `qpilot-router`
-/// plugs in a forwarder that relays the raw line to a shard.
+/// it may block. `qpilot-router` plugs in a forwarder that relays the
+/// raw line to a shard; the reply string is written without a copy.
 pub type LineHandler = Arc<dyn Fn(&str) -> Handled + Send + Sync>;
+
+/// The daemon's handler: a [`LineHandler`] whose reply comes in the
+/// parts the reactor writes, a cached schedule by reference
+/// ([`protocol::reply_to`](crate::protocol::reply_to)).
+pub(crate) type ReplyHandler = Arc<dyn Fn(&str) -> Reply + Send + Sync>;
 
 /// Tuning for [`ReactorServer::spawn`].
 #[derive(Debug, Clone, Copy)]
@@ -83,8 +94,12 @@ impl Default for ReactorOptions {
 /// a connection at the cap stops being read until responses drain.
 const PIPELINE_CAP: usize = 256;
 
-/// Per-connection cap on unflushed response bytes; reads pause above it.
+/// Per-connection cap on unflushed response bytes, shared schedule
+/// bytes included; reads pause above it.
 const WRITE_BACKLOG_CAP: usize = 4 * 1024 * 1024;
+
+/// The most chunks one vectored write passes to the kernel.
+const WRITE_SLICES: usize = 64;
 
 /// Dispatcher threads calling the [`LineHandler`]: 2× available
 /// parallelism, clamped to [16, 64].
@@ -151,6 +166,20 @@ impl ReactorServer {
         addr: impl ToSocketAddrs,
         options: ReactorOptions,
         handler: LineHandler,
+    ) -> io::Result<ReactorServer> {
+        ReactorServer::spawn_replies(
+            addr,
+            options,
+            Arc::new(move |line: &str| Reply::from(handler(line))),
+        )
+    }
+
+    /// [`ReactorServer::spawn`] with a handler whose replies come in
+    /// parts.
+    pub(crate) fn spawn_replies(
+        addr: impl ToSocketAddrs,
+        options: ReactorOptions,
+        handler: ReplyHandler,
     ) -> io::Result<ReactorServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -271,13 +300,13 @@ struct Job {
 struct Completion {
     token: u64,
     seq: u64,
-    handled: Handled,
+    reply: Reply,
 }
 
 fn dispatcher_loop(
     job_rx: &Mutex<Receiver<Job>>,
     done_tx: &Sender<Completion>,
-    handler: &LineHandler,
+    handler: &ReplyHandler,
     shared: &Shared,
 ) {
     loop {
@@ -291,28 +320,45 @@ fn dispatcher_loop(
         // dispatcher: a lost dispatcher would leave the line unanswered,
         // stall every later reply on its connection behind it, and once
         // all dispatchers were gone no connection would be answered.
-        let handled =
+        let reply =
             catch_unwind(AssertUnwindSafe(|| handler(&job.line))).unwrap_or_else(|payload| {
-                Handled {
-                    response: render_error(
-                        &format!("internal error: {}", panic_message(&*payload)),
-                        false,
-                        &next_request_id(),
-                    ),
-                    shutdown: false,
-                }
+                Reply::line(render_error(
+                    &format!("internal error: {}", panic_message(&*payload)),
+                    false,
+                    &next_request_id(),
+                ))
             });
         if done_tx
             .send(Completion {
                 token: job.token,
                 seq: job.seq,
-                handled,
+                reply,
             })
             .is_err()
         {
             return; // reactor gone
         }
         let _ = shared.waker.wake();
+    }
+}
+
+/// A piece of a connection's unwritten output.
+enum Chunk {
+    /// Bytes the connection owns: a reply's head, or a whole reply.
+    Owned(Vec<u8>),
+    /// A cached schedule, shared with the cache.
+    Shared(Arc<str>),
+    /// A reply's closing bytes.
+    Static(&'static [u8]),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Owned(bytes) => bytes,
+            Chunk::Shared(text) => text.as_bytes(),
+            Chunk::Static(bytes) => bytes,
+        }
     }
 }
 
@@ -332,10 +378,14 @@ struct Conn {
     /// Requests dispatched and not yet completed.
     inflight: usize,
     /// Completions that arrived out of order, keyed by sequence.
-    pending: BTreeMap<u64, Handled>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    /// Flush the write buffer, then close the connection and stop the
+    pending: BTreeMap<u64, Reply>,
+    /// Replies in order, waiting to be written.
+    out: VecDeque<Chunk>,
+    /// Bytes of the front chunk already written.
+    out_pos: usize,
+    /// Unwritten bytes in `out`.
+    backlog: usize,
+    /// Flush the write queue, then close the connection and stop the
     /// whole reactor (a `shutdown` response is queued).
     shutdown_after_flush: bool,
     /// Fatal I/O error: close as soon as possible.
@@ -354,8 +404,9 @@ impl Conn {
             next_write: 0,
             inflight: 0,
             pending: BTreeMap::new(),
-            write_buf: Vec::new(),
-            write_pos: 0,
+            out: VecDeque::new(),
+            out_pos: 0,
+            backlog: 0,
             shutdown_after_flush: false,
             dead: false,
             registered: Interest::READABLE,
@@ -363,7 +414,38 @@ impl Conn {
     }
 
     fn write_backlog(&self) -> usize {
-        self.write_buf.len() - self.write_pos
+        self.backlog
+    }
+
+    /// Queues `reply` for writing: its head, its schedule by reference,
+    /// and its tail.
+    fn queue(&mut self, reply: Reply) {
+        let tail = reply.tail();
+        self.push(Chunk::Owned(reply.head.into_bytes()));
+        if let Some(schedule) = reply.schedule {
+            self.push(Chunk::Shared(schedule));
+        }
+        self.push(Chunk::Static(tail));
+    }
+
+    fn push(&mut self, chunk: Chunk) {
+        self.backlog += chunk.bytes().len();
+        self.out.push_back(chunk);
+    }
+
+    /// Drops the `n` bytes just written from the front of the queue.
+    fn consume(&mut self, mut n: usize) {
+        self.backlog -= n;
+        while let Some(front) = self.out.front() {
+            let left = front.bytes().len() - self.out_pos;
+            if n < left {
+                self.out_pos += n;
+                return;
+            }
+            n -= left;
+            self.out.pop_front();
+            self.out_pos = 0;
+        }
     }
 
     /// The connection has nothing queued in either direction.
@@ -530,11 +612,7 @@ impl Reactor {
                         let _ = self.job_tx.send(Job { token, seq, line });
                     }
                     Frame::TooLong(response) => {
-                        let handled = Handled {
-                            response,
-                            shutdown: false,
-                        };
-                        conn.pending.insert(seq, handled);
+                        conn.pending.insert(seq, Reply::line(response));
                     }
                 }
             }
@@ -542,7 +620,7 @@ impl Reactor {
     }
 
     /// Drains the completion channel into per-connection reorder
-    /// buffers and promotes in-order responses to write buffers.
+    /// buffers and promotes in-order responses to the write queues.
     /// Returns `true` when a `shutdown` response has fully flushed and
     /// the reactor must stop.
     fn apply_completions(&mut self, touched: &mut Vec<u64>) -> bool {
@@ -569,7 +647,7 @@ impl Reactor {
                     continue;
                 }
                 conn.inflight -= 1;
-                conn.pending.insert(done.seq, done.handled);
+                conn.pending.insert(done.seq, done.reply);
                 touched.push(done.token);
             }
         }
@@ -578,12 +656,11 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            while let Some(handled) = conn.pending.remove(&conn.next_write) {
+            while let Some(reply) = conn.pending.remove(&conn.next_write) {
                 conn.next_write += 1;
-                conn.write_buf
-                    .extend_from_slice(handled.response.as_bytes());
-                conn.write_buf.push(b'\n');
-                if handled.shutdown {
+                let shutdown = reply.shutdown;
+                conn.queue(reply);
+                if shutdown {
                     // Requests pipelined after a shutdown are not
                     // served; the response flushes, then the whole
                     // server stops.
@@ -649,7 +726,7 @@ impl Reactor {
             // One last best-effort flush before the descriptor closes
             // (e.g. responses queued behind a lapsed line deadline).
             if conn.write_backlog() > 0 && !conn.dead {
-                let _ = conn.stream.write(&conn.write_buf[conn.write_pos..]);
+                let _ = write_queued(&mut conn);
             }
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             self.shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -663,14 +740,15 @@ fn paused(conn: &Conn) -> bool {
     conn.inflight + conn.pending.len() >= PIPELINE_CAP || conn.write_backlog() >= WRITE_BACKLOG_CAP
 }
 
+/// Writes the queue until it is empty or the socket would block.
 fn flush_writes(conn: &mut Conn) {
-    while conn.write_pos < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+    while conn.write_backlog() > 0 {
+        match write_queued(conn) {
             Ok(0) => {
                 conn.dead = true;
                 break;
             }
-            Ok(n) => conn.write_pos += n,
+            Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
@@ -679,10 +757,21 @@ fn flush_writes(conn: &mut Conn) {
             }
         }
     }
-    if conn.write_pos == conn.write_buf.len() {
-        conn.write_buf.clear();
-        conn.write_pos = 0;
+}
+
+/// One vectored write of the queue's first [`WRITE_SLICES`] chunks; the
+/// bytes written leave the queue.
+fn write_queued(conn: &mut Conn) -> io::Result<usize> {
+    let mut slices = [IoSlice::new(&[]); WRITE_SLICES];
+    let mut count = 0;
+    for (slot, chunk) in slices.iter_mut().zip(&conn.out) {
+        *slot = IoSlice::new(chunk.bytes());
+        count += 1;
     }
+    slices[0] = IoSlice::new(&conn.out[0].bytes()[conn.out_pos..]);
+    let n = conn.stream.write_vectored(&slices[..count])?;
+    conn.consume(n);
+    Ok(n)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::pool::Service;
-use crate::protocol::{handle_line, next_request_id, render_error, Handled};
+use crate::protocol::{next_request_id, render_error, reply_to, Reply};
 use crate::reactor::{ReactorOptions, ReactorServer};
 
 /// Upper bound on one request line (bytes, newline excluded). Generous:
@@ -131,7 +131,8 @@ impl LineFramer {
 }
 
 /// Serves requests from `input` to `output` until EOF or a `shutdown`
-/// request. Returns the number of requests answered.
+/// request. Returns the number of requests answered. A reply that
+/// carries a cached schedule is written from the cache's shared text.
 ///
 /// # Errors
 ///
@@ -156,18 +157,14 @@ pub fn serve_lines(
             framer.push(&chunk[..n]);
         }
         while let Some(frame) = framer.next_frame() {
-            let handled = match frame {
-                Frame::Request(line) => handle_line(service, &line),
-                Frame::TooLong(response) => Handled {
-                    response,
-                    shutdown: false,
-                },
+            let reply = match frame {
+                Frame::Request(line) => reply_to(service, &line),
+                Frame::TooLong(response) => Reply::line(response),
             };
-            output.write_all(handled.response.as_bytes())?;
-            output.write_all(b"\n")?;
+            reply.write_to(&mut output)?;
             output.flush()?;
             answered += 1;
-            if handled.shutdown {
+            if reply.shutdown {
                 return Ok(answered);
             }
         }
@@ -191,9 +188,11 @@ pub fn serve_stdio(service: &Service) -> io::Result<u64> {
 }
 
 /// Serves the protocol over TCP: binds `addr` (e.g. `127.0.0.1:0` for an
-/// ephemeral port) and answers every request line with [`handle_line`]
-/// against `service` on the epoll reactor. The returned handle drains,
-/// stops or waits for the server.
+/// ephemeral port) and answers every request line as
+/// [`handle_line`](crate::protocol::handle_line) does against `service`
+/// on the epoll reactor, writing a cached schedule to the socket from
+/// the cache's shared text. The returned handle drains, stops or waits
+/// for the server.
 ///
 /// # Errors
 ///
@@ -203,10 +202,10 @@ pub fn serve_tcp(
     addr: impl ToSocketAddrs,
     options: ReactorOptions,
 ) -> io::Result<ReactorServer> {
-    ReactorServer::spawn(
+    ReactorServer::spawn_replies(
         addr,
         options,
-        Arc::new(move |line: &str| handle_line(&service, line)),
+        Arc::new(move |line: &str| reply_to(&service, line)),
     )
 }
 

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use qpilot_circuit::Circuit;
 use qpilot_core::json::{self, json_str, Value};
 use qpilot_core::wire::schedule_from_json;
-use qpilot_service::protocol::{circuit_to_value_json, compile_request_line};
+use qpilot_service::protocol::{circuit_to_value_json, compile_request_line, handle_line};
 use qpilot_service::{
     serve_tcp, CompileRequest, ReactorOptions, Service, ServiceConfig, MAX_REQUEST_LINE_BYTES,
 };
@@ -510,5 +510,86 @@ fn malformed_lines_do_not_poison_the_connection() {
     assert_eq!(bad.get("ok"), Some(&Value::Bool(false)));
     let good = client.request("{\"op\":\"ping\"}");
     assert_eq!(good.get("op").and_then(Value::as_str), Some("pong"));
+    server.shutdown();
+}
+
+/// One connection pipelines hits of a ~0.5 MB schedule far past the
+/// reactor's 4 MiB write backlog, with a too-long line and an invalid
+/// line among them, and reads nothing until every line is sent. The
+/// reactor pauses reading at the cap and resumes as the client drains.
+/// Read back in small pieces of uneven size, so writes end inside a
+/// schedule, every reply is the line `handle_line` renders for its
+/// request, in request order.
+#[test]
+fn pipelined_hits_past_the_write_backlog_arrive_whole_and_in_order() {
+    const HITS: usize = 32;
+    let service = test_service(1, 4);
+    let hit = |i: usize| {
+        format!(
+            r#"{{"op":"compile","router":"qec","distance":9,"rounds":20,"request_id":"bp-{i}"}}"#
+        )
+    };
+    let miss = handle_line(&service, &hit(0)).response;
+    assert!(miss.contains(r#""cache":"miss""#), "{}", &miss[..200]);
+    let mut lines: Vec<String> = (1..=HITS).map(hit).collect();
+    lines.insert(
+        HITS / 2,
+        r#"{"op":"compile","router":"qec","request_id":"bp-bad"}"#.to_string(),
+    );
+    // The expected replies, rendered before the server starts.
+    let mut expected: Vec<String> = lines
+        .iter()
+        .map(|line| handle_line(&service, line).response)
+        .collect();
+    assert!(expected[0].contains(r#""cache":"hit""#));
+    assert!(expected[0].len() > 500_000, "{} bytes", expected[0].len());
+    assert!(expected[HITS / 2].starts_with(r#"{"ok":false"#));
+
+    // The too-long line goes early, while the reactor still reads.
+    let too_long_at = 2;
+    let mut sent = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if i == too_long_at {
+            sent.resize(sent.len() + MAX_REQUEST_LINE_BYTES + 1, b'x');
+            sent.push(b'\n');
+        }
+        sent.extend_from_slice(line.as_bytes());
+        sent.push(b'\n');
+    }
+    let too_long = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+    expected.insert(too_long_at, String::new());
+
+    let server = serve_tcp(service, "127.0.0.1:0", ReactorOptions::default()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&sent).unwrap();
+    let mut received = Vec::new();
+    let mut piece = [0u8; 4093];
+    let mut sizes = [1, 7, 4093, 512, 3001].into_iter().cycle();
+    let mut newlines = 0;
+    while newlines < expected.len() {
+        let n = std::io::Read::read(&mut stream, &mut piece[..sizes.next().unwrap()]).unwrap();
+        assert!(n > 0, "the connection closed after {newlines} replies");
+        newlines += piece[..n].iter().filter(|&&b| b == b'\n').count();
+        received.extend_from_slice(&piece[..n]);
+    }
+    let received = String::from_utf8(received).expect("utf-8 replies");
+    let replies: Vec<&str> = received.split_terminator('\n').collect();
+    assert_eq!(replies.len(), expected.len(), "one reply per request line");
+    for (i, (reply, expected)) in replies.iter().zip(&expected).enumerate() {
+        if i == too_long_at {
+            let doc = json::parse(reply).expect("valid error line");
+            assert_eq!(doc.get("ok"), Some(&Value::Bool(false)), "{reply}");
+            assert_eq!(doc.get("error").and_then(Value::as_str), Some(&*too_long));
+        } else {
+            assert!(
+                reply == expected,
+                "reply {i} differs: {}…",
+                &reply[..reply.len().min(120)]
+            );
+        }
+    }
     server.shutdown();
 }
