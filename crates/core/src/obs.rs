@@ -1,6 +1,6 @@
-//! Zero-dependency observability primitives: lock-free counters and
-//! gauges, log-linear latency histograms, and span timers, shared by the
-//! routers, the serving tier and the benchmark harness.
+//! Zero-dependency observability primitives: log-linear latency
+//! histograms and span timers, shared by the routers, the serving tier
+//! and the benchmark harness.
 //!
 //! Everything here is built on relaxed atomics — recording is wait-free
 //! and safe from any thread. Instrumentation is compiled in but can be
@@ -104,53 +104,6 @@ pub fn set_stage_sampling(every: u32) {
 /// Mask for a sampling period: `period.next_power_of_two() - 1`.
 fn sampling_mask(every: u32) -> u32 {
     every.max(1).next_power_of_two() - 1
-}
-
-/// A monotonic event counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Creates a zeroed counter (usable in statics).
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins gauge (queue depth, inflight count, ...).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a zeroed gauge (usable in statics).
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// Maps a nanosecond value to its log-linear bucket.
@@ -703,18 +656,5 @@ mod tests {
         assert_eq!(sampling_mask(3), 3);
         assert_eq!(sampling_mask(8), 7);
         assert_eq!(sampling_mask(1000), 1023);
-    }
-
-    #[test]
-    fn counters_and_gauges() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(7);
-        assert_eq!(g.get(), 7);
-        g.set(2);
-        assert_eq!(g.get(), 2);
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! qpilotd [--listen HOST:PORT | --stdio] [--workers N] [--queue N]
-//!         [--cache N] [--store DIR]
-//!         [--store-max-bytes N] [--max-compile-ms N]
+//!         [--cache N] [--store DIR] [--max-compile-ms N]
 //!         [--line-deadline-ms N] [--drain-ms N] [--faults SPEC]
 //!         [--metrics-listen HOST:PORT] [--log-json]
 //! ```
@@ -22,7 +21,8 @@
 //! `SIGKILL`) recovers its working set from `DIR` before accepting
 //! connections, so previously compiled requests stay warm hits with
 //! byte-identical schedules. Corrupt or half-written blobs are skipped.
-//! `--store-max-bytes` caps the store; oldest blobs are evicted first.
+//! The store mirrors the cache, so `--cache` bounds it: a blob is
+//! unlinked when its entry is evicted.
 //!
 //! Resilience knobs: `--max-compile-ms` is a server-side cap applied to
 //! every compile (client `deadline_ms` values are clamped to it), and
@@ -35,9 +35,8 @@
 //! if the `--drain-ms` budget lapses first.
 //! A second `SIGTERM` forces an immediate exit.
 //!
-//! Fault injection (testing only): `--faults SPEC` or the
-//! `QPILOT_FAULTS` environment variable arm named fault sites, e.g.
-//! `worker-stall=400:1,store-write-fail:1`. See
+//! Fault injection (testing only): `--faults SPEC` arms named fault
+//! sites, e.g. `worker-stall=400:1,store-write-fail:1`. See
 //! `qpilot_service::faults`.
 //!
 //! Observability: `--metrics-listen HOST:PORT` additionally serves the
@@ -81,13 +80,12 @@ fn install_sigterm_handler() {
 }
 
 /// Flags followed by a value.
-const VALUE_FLAGS: [&str; 11] = [
+const VALUE_FLAGS: [&str; 10] = [
     "--listen",
     "--workers",
     "--queue",
     "--cache",
     "--store",
-    "--store-max-bytes",
     "--max-compile-ms",
     "--line-deadline-ms",
     "--drain-ms",
@@ -98,14 +96,10 @@ const VALUE_FLAGS: [&str; 11] = [
 /// Flags that stand alone.
 const SWITCHES: [&str; 2] = ["--stdio", "--log-json"];
 
-/// `--faults SPEC` wins over `QPILOT_FAULTS`; both parse with the same
-/// grammar and a bad spec is a startup error, not a silent no-op.
+/// The `--faults SPEC` arms (none without the flag); a bad spec is a
+/// startup error, not a silent no-op.
 fn fault_spec(flags: &Flags) -> FaultSpec {
-    let parsed = match flags.value("--faults") {
-        Some(spec) => FaultSpec::parse(spec),
-        None => FaultSpec::from_env(),
-    };
-    match parsed {
+    match FaultSpec::parse(flags.value("--faults").unwrap_or("")) {
         Ok(spec) => {
             if !spec.is_empty() {
                 eprintln!("qpilotd: FAULT INJECTION ARMED: {spec}");
@@ -169,9 +163,6 @@ fn main() {
         max_compile_ms: flags
             .opt_num("--max-compile-ms")
             .or(defaults.max_compile_ms),
-        store_max_bytes: flags
-            .opt_num("--store-max-bytes")
-            .or(defaults.store_max_bytes),
         faults: fault_spec(&flags),
         ..defaults
     };

@@ -12,8 +12,8 @@
 //! Sharding: entries map to one of N shards by the fingerprint's leading
 //! 64 bits, each shard a `Mutex<LruShard>` with its own strict-LRU list,
 //! so concurrent connection handlers contend only 1/N of the time.
-//! Hit/miss/insert/evict counters are process-wide atomics surfaced by
-//! the protocol's `stats` request.
+//! Hit/miss/evict counters are atomics surfaced by the protocol's
+//! `stats` request.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,8 +43,6 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
 }
@@ -67,7 +65,6 @@ pub struct ScheduleCache {
     shards: Box<[Mutex<LruShard>]>,
     hits: AtomicU64,
     misses: AtomicU64,
-    insertions: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -86,7 +83,6 @@ impl ScheduleCache {
             shards: shard_vec.into_boxed_slice(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -123,7 +119,6 @@ impl ScheduleCache {
             .lock()
             .expect("cache shard lock")
             .insert(key, entry);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -159,7 +154,6 @@ impl ScheduleCache {
         CacheCounters {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
@@ -313,7 +307,7 @@ mod tests {
         assert_eq!(cache.get(&key(1)).unwrap().schedule_json.as_ref(), "a");
         assert!(cache.get(&key(2)).is_none());
         let c = cache.counters();
-        assert_eq!((c.hits, c.misses, c.insertions), (1, 1, 1));
+        assert_eq!((c.hits, c.misses), (1, 1));
     }
 
     #[test]

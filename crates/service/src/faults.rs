@@ -2,10 +2,9 @@
 //!
 //! The sites are compiled in unconditionally — production binaries carry
 //! the hooks, disarmed — and armed per process via a spec string
-//! (`qpilotd --faults <SPEC>` or the `QPILOT_FAULTS` environment
-//! variable). A disarmed site is one relaxed atomic load, so the hooks
-//! cost nothing on the default path and the chaos suite exercises the
-//! *same* binary CI ships.
+//! (`qpilotd --faults <SPEC>`, the only switch). A disarmed site is one
+//! relaxed atomic load, so the hooks cost nothing on the default path
+//! and the chaos suite exercises the *same* binary CI ships.
 //!
 //! Spec grammar — comma-separated arms, each `name[=value][:count]`:
 //!
@@ -38,7 +37,7 @@ pub struct FaultArm {
     pub count: Option<u64>,
 }
 
-/// A parsed `--faults` / `QPILOT_FAULTS` spec. Inert plain data — see
+/// A parsed `--faults` spec. Inert plain data — see
 /// [`Faults`] for the armed runtime form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultSpec {
@@ -98,18 +97,6 @@ impl FaultSpec {
             }
         }
         Ok(out)
-    }
-
-    /// Parses `QPILOT_FAULTS` when set; the empty spec otherwise.
-    ///
-    /// # Errors
-    ///
-    /// See [`FaultSpec::parse`].
-    pub fn from_env() -> Result<FaultSpec, String> {
-        match std::env::var("QPILOT_FAULTS") {
-            Ok(spec) => FaultSpec::parse(&spec),
-            Err(_) => Ok(FaultSpec::default()),
-        }
     }
 
     /// `true` when no arm is configured.

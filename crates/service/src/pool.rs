@@ -28,14 +28,16 @@
 //!    [`Service::try_compile`] returns [`ServiceError::Overloaded`] for
 //!    callers that prefer shedding;
 //! 5. a worker pops the job, re-probes the cache, compiles with its
-//!    per-worker [`Compiler`], serialises once, inserts (spilling to the
-//!    persistent [`store`](crate::store) when one is configured), then
-//!    answers the leader and drains every coalesced waiter.
+//!    per-worker [`Compiler`], serialises once, writes the blob to the
+//!    persistent [`store`](crate::store) when one is configured, inserts
+//!    (unlinking the blob of any entry the insert evicts), then answers
+//!    the leader and drains every coalesced waiter.
 //!
 //! With `ServiceConfig::store_dir` set, the cache is mirrored to disk as
-//! fingerprint-named blobs of the canonical schedule JSON; a restarted
-//! service recovers its working set (oldest blob first, by modification
-//! time) before serving.
+//! fingerprint-named blobs of the canonical schedule JSON, so the cache
+//! capacity bounds the blob directory too; a restarted service recovers
+//! its working set (oldest blob first, by modification time) before
+//! serving.
 //!
 //! # Fault tolerance
 //!
@@ -212,9 +214,6 @@ pub struct ServiceConfig {
     /// every request and capping any client `deadline_ms` (`None` = no
     /// server-side deadline).
     pub max_compile_ms: Option<u64>,
-    /// Persistent-store byte budget: on insert, oldest blobs are evicted
-    /// until tracked bytes fit (`None` = unbounded).
-    pub store_max_bytes: Option<u64>,
     /// Armed fault-injection sites (empty = all disarmed); see
     /// [`crate::faults`].
     pub faults: FaultSpec,
@@ -231,7 +230,6 @@ impl Default for ServiceConfig {
             cache_shards: 16,
             store_dir: None,
             max_compile_ms: None,
-            store_max_bytes: None,
             faults: FaultSpec::default(),
         }
     }
@@ -365,7 +363,8 @@ pub struct ServiceStats {
 }
 
 /// Persistent-store statistics for the `store-stats` protocol request:
-/// the startup [`RecoveryReport`] plus lifetime counters.
+/// the startup [`RecoveryReport`], lifetime counters, and what the
+/// store directory holds now.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// `true` when the service runs with a persistent store.
@@ -376,14 +375,11 @@ pub struct StoreStats {
     pub persisted: u64,
     /// Blobs unlinked by cache evictions since startup.
     pub removed: u64,
-    /// Blobs currently tracked by the store — the true on-disk mirror
-    /// size (failed writes are never tracked, so this can trail the
-    /// in-memory cache).
+    /// Blobs in the store directory now (a failed write leaves none, so
+    /// this can trail the in-memory cache).
     pub entries: u64,
-    /// Bytes of the blobs the store tracks.
+    /// Bytes of the blobs in the store directory now.
     pub bytes: u64,
-    /// Blobs evicted to honour the byte budget (`--store-max-bytes`).
-    pub size_evictions: u64,
 }
 
 type Reply = mpsc::Sender<Result<CompileResponse, ServiceError>>;
@@ -420,7 +416,6 @@ struct WorkerCtx {
     /// each key has exactly one job.
     inflight: Mutex<HashMap<Fingerprint, Vec<Reply>>>,
     store: Option<Arc<ScheduleStore>>,
-    store_loaded: u64,
     faults: Arc<Faults>,
 }
 
@@ -482,15 +477,15 @@ impl WorkerCtx {
             stats,
             compile_s,
         });
-        let evicted = self.cache.insert(job.fingerprint, Arc::clone(&entry));
+        // The blob goes to disk before the entry is cached: an insert
+        // that evicts this entry then always finds its blob to unlink.
         if let Some(store) = &self.store {
-            {
-                let _span = obs::Span::start(&crate::metrics::STAGE_STORE_WRITE);
-                store.persist(job.fingerprint, &entry);
-            }
-            if let Some(evicted) = evicted {
-                store.remove(&evicted);
-            }
+            let _span = obs::Span::start(&crate::metrics::STAGE_STORE_WRITE);
+            store.persist(job.fingerprint, &entry);
+        }
+        let evicted = self.cache.insert(job.fingerprint, Arc::clone(&entry));
+        if let (Some(store), Some(evicted)) = (&self.store, evicted) {
+            store.remove(&evicted);
         }
         self.compiles.fetch_add(1, Ordering::Relaxed);
         self.latencies.observe(elapsed);
@@ -555,15 +550,13 @@ impl Service {
         let workers = config.workers.max(1);
         let faults = Arc::new(Faults::from_spec(&config.faults));
         let cache = ScheduleCache::new(config.cache_capacity, config.cache_shards);
-        let (store, store_loaded) = match &config.store_dir {
-            None => (None, 0),
+        let store = match &config.store_dir {
+            None => None,
             Some(dir) => {
                 let options = StoreOptions {
-                    max_bytes: config.store_max_bytes,
                     faults: Arc::clone(&faults),
                 };
                 let (store, recovered) = ScheduleStore::open_with(dir, options)?;
-                let loaded = recovered.len() as u64;
                 // Replay oldest-first so in-memory recency matches the
                 // blobs' write order; capacity overflow evicts (and
                 // unlinks) the oldest blobs.
@@ -572,7 +565,7 @@ impl Service {
                         store.remove(&evicted);
                     }
                 }
-                (Some(Arc::new(store)), loaded)
+                Some(Arc::new(store))
             }
         };
         let ctx = Arc::new(WorkerCtx {
@@ -584,7 +577,6 @@ impl Service {
             deadline_misses: AtomicU64::new(0),
             inflight: Mutex::new(HashMap::new()),
             store,
-            store_loaded,
             faults,
         });
         let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_capacity.max(1));
@@ -904,22 +896,24 @@ impl Service {
     }
 
     /// A persistent-store snapshot for the `store-stats` protocol op:
-    /// the startup recovery report plus lifetime persist/unlink
-    /// counters. `configured` is `false` (all counters zero) when the
-    /// service runs without `--store`.
+    /// the startup recovery report, lifetime persist/unlink counters,
+    /// and the blobs in the store directory now. `configured` is `false`
+    /// (all counters zero) when the service runs without `--store`.
     pub fn store_stats(&self) -> StoreStats {
         let ctx = &self.shared.ctx;
         match &ctx.store {
             None => StoreStats::default(),
-            Some(store) => StoreStats {
-                configured: true,
-                recovery: store.recovery(),
-                persisted: store.persisted(),
-                removed: store.removed(),
-                entries: store.len(),
-                bytes: store.bytes(),
-                size_evictions: store.size_evicted(),
-            },
+            Some(store) => {
+                let (entries, bytes) = store.usage();
+                StoreStats {
+                    configured: true,
+                    recovery: store.recovery(),
+                    persisted: store.persisted(),
+                    removed: store.removed(),
+                    entries,
+                    bytes,
+                }
+            }
         }
     }
 
@@ -946,7 +940,7 @@ impl Service {
             deadline_misses: ctx.deadline_misses.load(Ordering::Relaxed),
             draining: self.shared.draining.load(Ordering::Relaxed),
             store_persisted: ctx.store.as_ref().map_or(0, |s| s.persisted()),
-            store_loaded: ctx.store_loaded,
+            store_loaded: ctx.store.as_ref().map_or(0, |s| s.recovery().loaded),
             store_recover_s: ctx
                 .store
                 .as_ref()
@@ -1332,6 +1326,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Schedule blobs in a store directory.
+    fn blobs_in(dir: &std::path::Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".schedule.json"))
+            .count()
+    }
+
     #[test]
     fn store_eviction_unlinks_blobs() {
         let dir = std::env::temp_dir().join(format!(
@@ -1340,25 +1343,85 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let svc = Service::new(ServiceConfig {
+        let stored_config = ServiceConfig {
             workers: 1,
             queue_capacity: 4,
             cache_capacity: 2,
             cache_shards: 1,
             store_dir: Some(dir.clone()),
             ..ServiceConfig::default()
-        });
+        };
+        let svc = Service::new(stored_config.clone());
         for seed in 0..4 {
             svc.compile(CompileRequest::new(small_circuit(seed)))
                 .unwrap();
         }
+        let store = svc.store_stats();
+        assert_eq!(store.persisted, 4);
+        assert_eq!(store.removed, 2);
+        assert_eq!(store.entries, 2);
+        assert_eq!(store.bytes, svc.stats().cache_bytes);
         drop(svc);
-        let blobs = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".schedule.json"))
-            .count();
-        assert_eq!(blobs, 2, "store mirrors the capacity-bounded cache");
+        assert_eq!(
+            blobs_in(&dir),
+            2,
+            "store mirrors the capacity-bounded cache"
+        );
+
+        // A smaller cache on restart: the replay evicts, and unlinks, the
+        // older blob.
+        let svc = Service::new(ServiceConfig {
+            cache_capacity: 1,
+            ..stored_config
+        });
+        let store = svc.store_stats();
+        assert_eq!(store.recovery.loaded, 2);
+        assert_eq!(store.removed, 1);
+        assert_eq!(store.entries, 1);
+        drop(svc);
+        assert_eq!(blobs_in(&dir), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_blob_written_after_its_eviction_is_not_left_behind() {
+        // X's blob write is held 300 ms. Y compiles on the other worker
+        // meanwhile and takes the cache's one slot; whichever insert
+        // comes second evicts the other entry, whose blob must go too.
+        // The sleep only lines Y up inside X's write, where an insert
+        // made before the write lost the blob; the mirror must hold in
+        // any order.
+        let dir = std::env::temp_dir().join(format!(
+            "qpilot_pool_late_blob_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = Service::new(ServiceConfig {
+            workers: 2,
+            queue_capacity: 4,
+            cache_capacity: 1,
+            cache_shards: 1,
+            store_dir: Some(dir.clone()),
+            faults: FaultSpec::parse("store-write-delay=300:1").unwrap(),
+            ..ServiceConfig::default()
+        });
+        let x = {
+            let svc = svc.clone();
+            std::thread::spawn(move || svc.compile(CompileRequest::new(small_circuit(0))))
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        svc.compile(CompileRequest::new(small_circuit(1))).unwrap();
+        x.join().unwrap().unwrap();
+        let cached = svc.stats().cache_entries;
+        assert_eq!(cached, 1);
+        assert_eq!(
+            blobs_in(&dir),
+            cached,
+            "the store holds what the cache does"
+        );
+        assert_eq!(svc.store_stats().removed, 1);
+        drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -993,9 +993,10 @@ pub fn render_metrics_response(service: &Service, request_id: &str) -> String {
 }
 
 /// Renders a store-stats response line: the startup recovery report
-/// (blobs loaded / discarded, and `recover_ms`, the pass's wall time)
-/// plus lifetime persist/unlink counters. `configured` is `false` when the daemon runs without
-/// `--store` (all counters zero).
+/// (blobs loaded / discarded, and `recover_ms`, the pass's wall time),
+/// lifetime persist/unlink counters, and the blobs and bytes in the
+/// store directory now. `configured` is `false` when the daemon runs
+/// without `--store` (all counters zero).
 pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> String {
     let mut out = String::with_capacity(256);
     out.push_str("{\"ok\":true,\"op\":\"store-stats\",\"request_id\":");
@@ -1014,8 +1015,6 @@ pub fn render_store_stats_response(stats: &StoreStats, request_id: &str) -> Stri
     out.push_str(&stats.entries.to_string());
     out.push_str(",\"bytes\":");
     out.push_str(&stats.bytes.to_string());
-    out.push_str(",\"size_evictions\":");
-    out.push_str(&stats.size_evictions.to_string());
     out.push_str(",\"recover_ms\":");
     out.push_str(&json::fmt_f64(round6(
         stats.recovery.elapsed.as_secs_f64() * 1e3,
@@ -1561,7 +1560,7 @@ mod tests {
             panic!("not an object")
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys[keys.len() - 2..], ["size_evictions", "recover_ms"]);
+        assert_eq!(keys[keys.len() - 2..], ["bytes", "recover_ms"]);
         let stats = StoreStats {
             configured: true,
             recovery: crate::store::RecoveryReport {
@@ -1573,7 +1572,7 @@ mod tests {
         };
         let line = render_store_stats_response(&stats, "r-1");
         assert!(
-            line.ends_with(r#""loaded":4,"discarded":0,"persisted":0,"removed":0,"entries":0,"bytes":0,"size_evictions":0,"recover_ms":17.25}"#),
+            line.ends_with(r#""loaded":4,"discarded":0,"persisted":0,"removed":0,"entries":0,"bytes":0,"recover_ms":17.25}"#),
             "{line}"
         );
     }
@@ -2647,7 +2646,7 @@ mod tests {
         assert_eq!(doc.get("draining").and_then(Value::as_bool), Some(false));
         let store = handle_line(&svc, "{\"op\":\"store-stats\"}");
         let doc = json::parse(&store.response).unwrap();
-        for key in ["bytes", "size_evictions"] {
+        for key in ["entries", "bytes"] {
             assert_eq!(doc.get(key).and_then(Value::as_u64), Some(0), "{key}");
         }
     }

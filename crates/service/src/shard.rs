@@ -395,7 +395,6 @@ pub fn aggregate_store_stats(lines: &[String], request_id: &str) -> Result<Strin
         "removed",
         "entries",
         "bytes",
-        "size_evictions",
     ] {
         out.push_str(",\"");
         out.push_str(key);
@@ -691,8 +690,8 @@ mod tests {
 
     #[test]
     fn aggregate_store_stats_sums_counters() {
-        let a = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-1\",\"configured\":true,\"loaded\":2,\"discarded\":0,\"persisted\":5,\"removed\":1,\"entries\":6,\"bytes\":600,\"size_evictions\":0,\"recover_ms\":3.5}".to_string();
-        let b = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-2\",\"configured\":false,\"loaded\":0,\"discarded\":0,\"persisted\":0,\"removed\":0,\"entries\":0,\"bytes\":0,\"size_evictions\":0,\"recover_ms\":12.25}".to_string();
+        let a = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-1\",\"configured\":true,\"loaded\":2,\"discarded\":0,\"persisted\":5,\"removed\":1,\"entries\":6,\"bytes\":600,\"recover_ms\":3.5}".to_string();
+        let b = "{\"ok\":true,\"op\":\"store-stats\",\"request_id\":\"r-2\",\"configured\":false,\"loaded\":0,\"discarded\":0,\"persisted\":0,\"removed\":0,\"entries\":0,\"bytes\":0,\"recover_ms\":12.25}".to_string();
         let merged = aggregate_store_stats(&[a, b], "agg-2").unwrap();
         let doc = json::parse(&merged).unwrap();
         assert_eq!(doc.get("configured").and_then(Value::as_bool), Some(true));

@@ -14,11 +14,11 @@
 //! filesystem keeps them: blobs written within one clock tick replay in
 //! fingerprint order.
 //!
-//! The store can also be **size-bounded** ([`StoreOptions::max_bytes`],
-//! `qpilotd --store-max-bytes`): on insert, the oldest blobs are evicted
-//! until the total tracked bytes fit the budget. This bound is
-//! independent of the in-memory LRU capacity — the cache answers "what
-//! is hot", the byte budget answers "what fits on this disk".
+//! The store is the cache's disk mirror, not a second cache: the pool
+//! writes a blob before it caches the entry and unlinks the blob when
+//! the cache evicts it, so `--cache` bounds the directory as it bounds
+//! memory. The store keeps no count of its own; [`ScheduleStore::usage`]
+//! lists the directory when asked.
 //!
 //! Crash safety is rename-based: a blob is written to a `.tmp` sibling
 //! and atomically renamed into place, so a `SIGKILL` mid-write leaves
@@ -42,10 +42,9 @@
 //! in `store-stats`, the `qpilot_store_recovery_seconds` gauge and the
 //! daemon's `recovered N schedule(s) in X ms` line.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
 use qpilot_circuit::Fingerprint;
@@ -61,9 +60,6 @@ const BLOB_SUFFIX: &str = ".schedule.json";
 /// Tuning and dependencies for [`ScheduleStore::open_with`].
 #[derive(Debug, Clone, Default)]
 pub struct StoreOptions {
-    /// Evict oldest blobs on insert once tracked bytes exceed this
-    /// budget (`None` = unbounded).
-    pub max_bytes: Option<u64>,
     /// Armed fault-injection sites (disarmed by default).
     pub faults: Arc<Faults>,
 }
@@ -93,46 +89,10 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct ScheduleStore {
     dir: PathBuf,
-    options: StoreOptions,
-    tracked: Mutex<Tracked>,
+    faults: Arc<Faults>,
     persisted: AtomicU64,
     removed: AtomicU64,
-    size_evicted: AtomicU64,
     recovery: RecoveryReport,
-}
-
-/// The in-memory bookkeeping the byte budget needs: every blob on disk
-/// with its write sequence number (oldest = lowest) and size.
-#[derive(Debug, Default)]
-struct Tracked {
-    /// `fingerprint → (seq, bytes)`.
-    blobs: HashMap<Fingerprint, (u64, u64)>,
-    next_seq: u64,
-    /// Sum of tracked blob sizes.
-    total_bytes: u64,
-}
-
-impl Tracked {
-    /// Tracks a blob as the newest, replacing any earlier row for it.
-    fn insert(&mut self, fingerprint: Fingerprint, bytes: u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if let Some((_, old)) = self.blobs.insert(fingerprint, (seq, bytes)) {
-            self.total_bytes -= old;
-        }
-        self.total_bytes += bytes;
-    }
-
-    /// Stops tracking a blob; `false` when it was not tracked.
-    fn remove(&mut self, fingerprint: &Fingerprint) -> bool {
-        match self.blobs.remove(fingerprint) {
-            Some((_, bytes)) => {
-                self.total_bytes -= bytes;
-                true
-            }
-            None => false,
-        }
-    }
 }
 
 impl ScheduleStore {
@@ -148,8 +108,7 @@ impl ScheduleStore {
         ScheduleStore::open_with(dir, StoreOptions::default())
     }
 
-    /// [`ScheduleStore::open`] with an explicit size budget and fault
-    /// sites.
+    /// [`ScheduleStore::open`] with armed fault sites.
     ///
     /// # Errors
     ///
@@ -177,10 +136,7 @@ impl ScheduleStore {
                 continue;
             }
             // Anything that is not one of our blobs is left alone.
-            let Some(fingerprint) = name
-                .strip_suffix(BLOB_SUFFIX)
-                .and_then(|hex| hex.parse::<Fingerprint>().ok())
-            else {
+            let Some(fingerprint) = blob_fingerprint(name) else {
                 continue;
             };
             let modified = entry
@@ -193,7 +149,6 @@ impl ScheduleStore {
         blobs.sort_unstable_by_key(|(modified, fingerprint, _)| (*modified, *fingerprint));
 
         let mut recovered = Vec::new();
-        let mut tracked = Tracked::default();
         for (_, fingerprint, path) in blobs {
             let Some((schedule_json, stats)) = load_blob(&path) else {
                 // Truncated/corrupt blob: a cache can always recompile.
@@ -202,7 +157,6 @@ impl ScheduleStore {
                 continue;
             };
             report.loaded += 1;
-            tracked.insert(fingerprint, schedule_json.len() as u64);
             recovered.push(RecoveredEntry {
                 fingerprint,
                 entry: Arc::new(CacheEntry {
@@ -216,11 +170,9 @@ impl ScheduleStore {
         report.elapsed = started.elapsed();
         let store = ScheduleStore {
             dir,
-            options,
-            tracked: Mutex::new(tracked),
+            faults: options.faults,
             persisted: AtomicU64::new(0),
             removed: AtomicU64::new(0),
-            size_evicted: AtomicU64::new(0),
             recovery: report,
         };
         Ok((store, recovered))
@@ -231,16 +183,18 @@ impl ScheduleStore {
         self.recovery
     }
 
-    /// Blobs currently tracked (recovered + persisted − removed); failed
-    /// writes are never tracked, so this is the true on-disk mirror size,
-    /// unlike the in-memory cache length.
-    pub fn len(&self) -> u64 {
-        self.tracked.lock().expect("store lock").blobs.len() as u64
-    }
-
-    /// Returns `true` when the store tracks no blobs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The blobs on disk now and their total bytes, read from the
+    /// directory: it is the whole store, so a write that failed or an
+    /// unlink that found nothing cannot skew the answer. An unreadable
+    /// directory reads as empty.
+    pub fn usage(&self) -> (u64, u64) {
+        std::fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|e| e.file_name().to_str().and_then(blob_fingerprint).is_some())
+            .filter_map(|e| e.metadata().ok())
+            .fold((0, 0), |(n, bytes), meta| (n + 1, bytes + meta.len()))
     }
 
     /// Blobs written since opening.
@@ -248,34 +202,22 @@ impl ScheduleStore {
         self.persisted.load(Ordering::Relaxed)
     }
 
-    /// Blobs deleted on cache eviction since opening.
+    /// Blobs unlinked on cache eviction since opening.
     pub fn removed(&self) -> u64 {
         self.removed.load(Ordering::Relaxed)
-    }
-
-    /// Blobs evicted by the byte budget since opening.
-    pub fn size_evicted(&self) -> u64 {
-        self.size_evicted.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes of tracked blobs.
-    pub fn bytes(&self) -> u64 {
-        self.tracked.lock().expect("store lock").total_bytes
     }
 
     fn blob_path(&self, fingerprint: &Fingerprint) -> PathBuf {
         self.dir.join(format!("{fingerprint}{BLOB_SUFFIX}"))
     }
 
-    /// Spills one cache entry with one atomic blob write. When a byte
-    /// budget is configured, the oldest blobs are evicted until the
-    /// insert fits. Failures are reported to stderr and swallowed —
-    /// persistence is an availability feature, never a reason to fail a
-    /// compile.
+    /// Spills one cache entry with one atomic blob write. Failures are
+    /// reported to stderr and swallowed — persistence is an availability
+    /// feature, never a reason to fail a compile.
     pub fn persist(&self, fingerprint: Fingerprint, entry: &CacheEntry) {
-        self.options.faults.store_write_delay();
+        self.faults.store_write_delay();
         let path = self.blob_path(&fingerprint);
-        if self.options.faults.store_write_fail() {
+        if self.faults.store_write_fail() {
             eprintln!(
                 "qpilot-service: store write {} failed: injected fault",
                 path.display()
@@ -286,42 +228,21 @@ impl ScheduleStore {
             eprintln!("qpilot-service: store write {} failed: {e}", path.display());
             return;
         }
-        let mut evicted: Vec<Fingerprint> = Vec::new();
-        {
-            let mut tracked = self.tracked.lock().expect("store lock");
-            tracked.insert(fingerprint, entry.schedule_json.len() as u64);
-            if let Some(max) = self.options.max_bytes {
-                // Oldest-first eviction; the just-inserted blob (highest
-                // seq) is only ever the last candidate and is kept.
-                while tracked.total_bytes > max && tracked.blobs.len() > 1 {
-                    let victim = tracked
-                        .blobs
-                        .iter()
-                        .min_by_key(|(_, (seq, _))| *seq)
-                        .map(|(fp, _)| *fp)
-                        .expect("non-empty store");
-                    if victim == fingerprint {
-                        break;
-                    }
-                    tracked.remove(&victim);
-                    evicted.push(victim);
-                }
-            }
-        }
         self.persisted.fetch_add(1, Ordering::Relaxed);
-        for victim in evicted {
-            let _ = std::fs::remove_file(self.blob_path(&victim));
-            self.size_evicted.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Drops an evicted entry's blob.
     pub fn remove(&self, fingerprint: &Fingerprint) {
-        let _ = std::fs::remove_file(self.blob_path(fingerprint));
-        if self.tracked.lock().expect("store lock").remove(fingerprint) {
+        if std::fs::remove_file(self.blob_path(fingerprint)).is_ok() {
             self.removed.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
+
+/// The fingerprint a blob's file name carries; `None` for any other
+/// file.
+fn blob_fingerprint(name: &str) -> Option<Fingerprint> {
+    name.strip_suffix(BLOB_SUFFIX)?.parse().ok()
 }
 
 /// tmp-and-rename write: readers only ever observe complete files.
@@ -505,49 +426,14 @@ mod tests {
         store.persist(fp2, &e2);
         store.remove(&fp1);
         assert_eq!(store.removed(), 1);
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.usage(), (1, e2.schedule_json.len() as u64));
         assert!(!store.blob_path(&fp1).exists());
+        store.remove(&fp1);
+        assert_eq!(store.removed(), 1, "an unlink that finds no blob");
         drop(store);
         let (_, recovered) = ScheduleStore::open(&dir).unwrap();
         assert_eq!(recovered.len(), 1);
         assert_eq!(recovered[0].fingerprint, fp2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn byte_budget_evicts_oldest_blobs_on_insert() {
-        let dir = temp_dir("budget");
-        let (_, e) = sample_entry(1);
-        let blob_bytes = e.schedule_json.len() as u64;
-        // Room for two blobs, not three.
-        let (store, _) = ScheduleStore::open_with(
-            &dir,
-            StoreOptions {
-                max_bytes: Some(blob_bytes * 2 + blob_bytes / 2),
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
-        let (fp1, e1) = sample_entry(1);
-        let (fp2, e2) = sample_entry(2);
-        let (fp3, e3) = sample_entry(3);
-        store.persist(fp1, &e1);
-        store.persist(fp2, &e2);
-        assert_eq!(store.size_evicted(), 0);
-        store.persist(fp3, &e3);
-        assert_eq!(store.size_evicted(), 1, "oldest blob evicted");
-        assert!(!store.blob_path(&fp1).exists());
-        assert!(store.blob_path(&fp2).exists());
-        assert!(store.blob_path(&fp3).exists());
-        assert!(store.bytes() <= blob_bytes * 2 + blob_bytes / 2);
-
-        // The budget holds across recovery too.
-        drop(store);
-        let (store, recovered) = ScheduleStore::open(&dir).unwrap();
-        assert_eq!(recovered.len(), 2);
-        assert_eq!(recovered[0].fingerprint, fp2);
-        assert_eq!(recovered[1].fingerprint, fp3);
-        assert_eq!(store.bytes(), blob_bytes * 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -560,18 +446,17 @@ mod tests {
                 faults: Arc::new(Faults::from_spec(
                     &crate::faults::FaultSpec::parse("store-write-fail:1").unwrap(),
                 )),
-                ..StoreOptions::default()
             },
         )
         .unwrap();
         let (fp1, e1) = sample_entry(1);
         let (fp2, e2) = sample_entry(2);
         store.persist(fp1, &e1); // injected failure
-        assert_eq!(store.len(), 0);
+        assert_eq!(store.usage(), (0, 0));
         assert_eq!(store.persisted(), 0);
         assert!(!store.blob_path(&fp1).exists());
         store.persist(fp2, &e2); // fault budget exhausted → succeeds
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.usage().0, 1);
         drop(store);
         let (_, recovered) = ScheduleStore::open(&dir).unwrap();
         assert_eq!(recovered.len(), 1);

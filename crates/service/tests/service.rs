@@ -324,6 +324,8 @@ fn daemon_binary_rejects_unknown_and_malformed_flags() {
         (&["--bogus-ms", "40"][..], "--bogus-ms"),
         (&["--max-compile-ms", "10s"][..], "--max-compile-ms"),
         (&["--workers", "two"][..], "--workers"),
+        // Older daemons took this flag; a deployment script that still
+        // passes it must fail loudly.
         (&["--store-max-bytes"][..], "--store-max-bytes"),
         // The cache's lock-stripe count is not a daemon flag; on
         // `qpilot-router` and `qpilot-cli` `--shards` names fleet shards.
