@@ -1,5 +1,4 @@
-//! Ablation study of Q-Pilot's design choices (DESIGN.md §"Crate-level
-//! design notes"):
+//! Ablation study of Q-Pilot's design choices:
 //!
 //! * generic router: unbounded stages vs `stage_cap = 1` (no gate-level
 //!   parallelism — isolates the value of the legal-subset search);

@@ -40,7 +40,7 @@ use qpilot_core::generic::GenericRouterOptions;
 use qpilot_core::generic_reference::route_reference;
 use qpilot_core::obs;
 use qpilot_core::par::default_threads;
-use qpilot_core::{CompiledProgram, FpqaConfig};
+use qpilot_core::FpqaConfig;
 use qpilot_workloads::graphs::random_regular;
 use qpilot_workloads::pauli::{random_pauli_strings, PauliWorkloadConfig};
 use qpilot_workloads::random::{random_circuit, RandomCircuitConfig};
@@ -196,85 +196,14 @@ fn bench_generic(n: u32, factor: usize, reps: usize, batch: usize, threads: usiz
     }
 }
 
-fn aux_row(
+/// One `routers[]` workload: the router it exercises, the width its row
+/// reports, its label, and the workload with the array it compiles on.
+struct RouterCase {
     router: &'static str,
     qubits: u32,
-    workload: String,
-    wall: f64,
-    program: &CompiledProgram,
-) -> AuxRow {
-    let stats = program.stats();
-    AuxRow {
-        router,
-        qubits,
-        workload,
-        wall,
-        stages: program.schedule().num_stages(),
-        rydberg_depth: stats.two_qubit_depth,
-        native_two_qubit: stats.two_qubit_gates,
-    }
-}
-
-/// A `routers[]` row for the generic router measured through the same
-/// `Compiler` front door as the specialised ones, so the per-router CI
-/// ceilings (`routing.routers` in the thresholds file) gate all three
-/// routers on like-for-like end-to-end medians.
-fn bench_generic_aux(n: u32, factor: usize, reps: usize) -> AuxRow {
-    let config = FpqaConfig::square_for(n);
-    let workload = Workload::circuit(random_circuit(&RandomCircuitConfig::paper(n, factor, 1)));
-    let mut compiler = Compiler::new();
-    let wall = min_secs(reps, || {
-        compiler
-            .compile(&workload, &config)
-            .expect("generic routes")
-            .into_program()
-    });
-    let program = compiler
-        .compile(&workload, &config)
-        .expect("generic routes")
-        .into_program();
-    aux_row("generic", n, format!("paper_f{factor}"), wall, &program)
-}
-
-fn bench_qsim(n: u32, reps: usize) -> AuxRow {
-    let strings = random_pauli_strings(&PauliWorkloadConfig {
-        num_qubits: n as usize,
-        num_strings: 20,
-        pauli_probability: 0.3,
-        seed: 2,
-    });
-    let config = FpqaConfig::square_for(n);
-    let workload = Workload::pauli_strings(strings, 0.4);
-    let mut compiler = Compiler::new();
-    let wall = min_secs(reps, || {
-        compiler
-            .compile(&workload, &config)
-            .expect("qsim routes")
-            .into_program()
-    });
-    let program = compiler
-        .compile(&workload, &config)
-        .expect("qsim routes")
-        .into_program();
-    aux_row("qsim", n, "pauli_p0.3_20s".into(), wall, &program)
-}
-
-fn bench_qaoa(n: u32, reps: usize) -> AuxRow {
-    let graph = random_regular(n, 3, 4).expect("regular graph");
-    let config = FpqaConfig::square_for(n);
-    let workload = Workload::qaoa_cost_layer(n, graph.edges().to_vec(), 0.7);
-    let mut compiler = Compiler::new();
-    let wall = min_secs(reps, || {
-        compiler
-            .compile(&workload, &config)
-            .expect("qaoa routes")
-            .into_program()
-    });
-    let program = compiler
-        .compile(&workload, &config)
-        .expect("qaoa routes")
-        .into_program();
-    aux_row("qaoa", n, "3_regular".into(), wall, &program)
+    label: String,
+    workload: Workload,
+    config: FpqaConfig,
 }
 
 /// The largest surface-code distance whose `d²` data qubits fit in `n` —
@@ -289,22 +218,76 @@ fn qec_distance_for(n: u32) -> u32 {
     d.max(2)
 }
 
-fn bench_qec(n: u32, reps: usize) -> AuxRow {
-    let d = qec_distance_for(n);
-    let workload = Workload::surface_code(d, 1, 0.37);
-    let config = workload.config(None);
-    let mut compiler = Compiler::new();
-    let wall = min_secs(reps, || {
-        compiler
-            .compile(&workload, &config)
-            .expect("qec routes")
-            .into_program()
+/// The `routers[]` workloads at size `n`, one per router in row order.
+/// The generic router is measured through the same `Compiler` front
+/// door as the specialised ones, so the per-router CI ceilings
+/// (`routing.routers` in the thresholds file) gate all four like for
+/// like.
+fn router_cases(n: u32, factor: usize) -> [RouterCase; 4] {
+    let config = FpqaConfig::square_for(n);
+    let strings = random_pauli_strings(&PauliWorkloadConfig {
+        num_qubits: n as usize,
+        num_strings: 20,
+        pauli_probability: 0.3,
+        seed: 2,
     });
-    let program = compiler
-        .compile(&workload, &config)
-        .expect("qec routes")
-        .into_program();
-    aux_row("qec", d * d, format!("surface_d{d}_r1"), wall, &program)
+    let graph = random_regular(n, 3, 4).expect("regular graph");
+    let d = qec_distance_for(n);
+    let qec = Workload::surface_code(d, 1, 0.37);
+    [
+        RouterCase {
+            router: "generic",
+            qubits: n,
+            label: format!("paper_f{factor}"),
+            workload: Workload::circuit(random_circuit(&RandomCircuitConfig::paper(n, factor, 1))),
+            config: config.clone(),
+        },
+        RouterCase {
+            router: "qsim",
+            qubits: n,
+            label: "pauli_p0.3_20s".into(),
+            workload: Workload::pauli_strings(strings, 0.4),
+            config: config.clone(),
+        },
+        RouterCase {
+            router: "qaoa",
+            qubits: n,
+            label: "3_regular".into(),
+            workload: Workload::qaoa_cost_layer(n, graph.edges().to_vec(), 0.7),
+            config,
+        },
+        RouterCase {
+            router: "qec",
+            qubits: d * d,
+            label: format!("surface_d{d}_r1"),
+            config: qec.config(None),
+            workload: qec,
+        },
+    ]
+}
+
+/// Times `case` through `Compiler::compile`, best of `reps`, then
+/// compiles it once more for the row's schedule stats.
+fn bench_router(case: RouterCase, reps: usize) -> AuxRow {
+    let mut compiler = Compiler::new();
+    let mut compile = || {
+        compiler
+            .compile(&case.workload, &case.config)
+            .expect("benchmark workload routes")
+            .into_program()
+    };
+    let wall = min_secs(reps, &mut compile);
+    let program = compile();
+    let stats = program.stats();
+    AuxRow {
+        router: case.router,
+        qubits: case.qubits,
+        workload: case.label,
+        wall,
+        stages: program.schedule().num_stages(),
+        rydberg_depth: stats.two_qubit_depth,
+        native_two_qubit: stats.two_qubit_gates,
+    }
 }
 
 /// One `stage_profile` report row: a router stage's median per-route
@@ -326,31 +309,11 @@ fn profile_stages(n: u32, factor: usize, reps: usize) -> Vec<StageRow> {
     obs::set_enabled(true);
     // Profile every route call here (serving processes sample 1-in-N).
     obs::set_stage_sampling(1);
-    let config = FpqaConfig::square_for(n);
     let mut compiler = Compiler::new();
-    let circuit = Workload::circuit(random_circuit(&RandomCircuitConfig::paper(n, factor, 1)));
-    let pauli = Workload::pauli_strings(
-        random_pauli_strings(&PauliWorkloadConfig {
-            num_qubits: n as usize,
-            num_strings: 20,
-            pauli_probability: 0.3,
-            seed: 2,
-        }),
-        0.4,
-    );
-    let graph = random_regular(n, 3, 4).expect("regular graph");
-    let qaoa = Workload::qaoa_cost_layer(n, graph.edges().to_vec(), 0.7);
-    let qec = Workload::surface_code(qec_distance_for(n), 1, 0.37);
-    let qec_config = qec.config(None);
-    for (workload, config) in [
-        (&circuit, &config),
-        (&pauli, &config),
-        (&qaoa, &config),
-        (&qec, &qec_config),
-    ] {
+    for case in router_cases(n, factor) {
         for _ in 0..reps.max(1) {
             compiler
-                .compile(workload, config)
+                .compile(&case.workload, &case.config)
                 .expect("profiled route")
                 .into_program();
         }
@@ -450,10 +413,7 @@ fn main() {
     let mut aux_rows = Vec::new();
     for &n in &sizes {
         generic_rows.push(bench_generic(n, factor, reps, batch, threads));
-        aux_rows.push(bench_generic_aux(n, factor, reps));
-        aux_rows.push(bench_qsim(n, reps));
-        aux_rows.push(bench_qaoa(n, reps));
-        aux_rows.push(bench_qec(n, reps));
+        aux_rows.extend(router_cases(n, factor).map(|case| bench_router(case, reps)));
     }
 
     let mut table = Table::new(&[

@@ -216,10 +216,8 @@ pub fn check_routing(report: &Value, thresholds: &Value) -> Vec<String> {
 /// Checks the `families[]` depth-comparison section of a routing report
 /// against the `routing.families` gates (`min_depth_ratio` floors per
 /// `(family, qubits)` pair) — the paper's flying-ancilla vs SWAP-baseline
-/// depth-reduction claim as a CI wall. Called from [`check_routing`];
-/// also used standalone by `depth_report --check`, whose report carries
-/// only the `families` section.
-pub fn check_families(report: &Value, thresholds: &Value) -> Vec<String> {
+/// depth-reduction claim as a CI wall. Called from [`check_routing`].
+fn check_families(report: &Value, thresholds: &Value) -> Vec<String> {
     let mut violations = Vec::new();
     let family_gates: &[Value] = thresholds
         .get("routing")
@@ -719,8 +717,8 @@ mod tests {
 
     #[test]
     fn standalone_families_check_ignores_the_other_sections() {
-        // depth_report --check gates a families-only document: no
-        // generic rows, no routers — only the depth floors.
+        // The depth floors read only the `families` section: a
+        // document without generic rows or routers passes them.
         let report = json::parse(
             r#"{"families":[
                   {"family":"qec","qubits":49,"depth_ratio":6.5},
@@ -855,11 +853,14 @@ mod tests {
 
     #[test]
     fn thresholds_loader_rejects_wrong_schema() {
-        let dir = std::env::temp_dir().join("qpilot_check_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
+        let path = std::env::temp_dir().join(format!(
+            "qpilot_check_test_{}_bad_thresholds.json",
+            std::process::id()
+        ));
         std::fs::write(&path, r#"{"schema":"qpilot.bench.thresholds/v9"}"#).unwrap();
-        let err = load_thresholds(path.to_str().unwrap()).unwrap_err();
+        let result = load_thresholds(path.to_str().unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let err = result.unwrap_err();
         assert!(err.contains("v9"), "{err}");
     }
 }

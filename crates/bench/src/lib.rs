@@ -1,9 +1,10 @@
 //! Shared infrastructure for the Q-Pilot experiment binaries.
 //!
-//! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/` (see `DESIGN.md` for the index); this library holds the
-//! pieces they share: the three baseline devices, workload construction,
-//! a plain-text table printer, ratio helpers and a tiny argument parser.
+//! The binaries in `src/bin/` reproduce the paper's tables and figures
+//! (`paper_report` holds the baseline comparisons) and measure the
+//! system (`perf_report`, `service_report`); this library holds the
+//! pieces they share: the three baseline devices, workload routing, a
+//! plain-text table printer, ratio helpers and a tiny argument parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,10 +13,7 @@ pub mod batch;
 pub mod check;
 pub mod depth;
 
-pub use batch::{
-    compile_batch, compile_batch_auto, compile_batch_with_options, compile_on_baselines_batch,
-    compile_workload_batch,
-};
+pub use batch::compile_batch;
 
 use std::time::Instant;
 
@@ -23,7 +21,6 @@ use qpilot_arch::{devices, CouplingGraph};
 use qpilot_baselines::{compile_to_device, BaselineReport};
 use qpilot_circuit::Circuit;
 use qpilot_core::compile::{CompileOptions, Compiler, RouterOptions, Workload};
-use qpilot_core::evaluator::{evaluate, PerformanceReport};
 use qpilot_core::{CompiledProgram, FpqaConfig};
 
 /// Routes one workload through the unified pipeline
@@ -54,9 +51,6 @@ pub fn baseline_devices() -> Vec<CouplingGraph> {
     ]
 }
 
-/// Short labels for [`baseline_devices`], in the same order.
-pub const BASELINE_LABELS: [&str; 3] = ["FAA-rect", "FAA-tri", "IBM-Washington"];
-
 /// Compiles `circuit` on every baseline device, skipping devices that are
 /// too small for it.
 pub fn compile_on_baselines(circuit: &Circuit) -> Vec<Option<BaselineReport>> {
@@ -69,11 +63,6 @@ pub fn compile_on_baselines(circuit: &Circuit) -> Vec<Option<BaselineReport>> {
 /// The FPQA configuration the main-result figures use: square array.
 pub fn fpqa_config(num_qubits: u32) -> FpqaConfig {
     FpqaConfig::square_for(num_qubits)
-}
-
-/// Evaluates a compiled program and returns its cost report.
-pub fn report_of(program: &CompiledProgram, config: &FpqaConfig) -> PerformanceReport {
-    evaluate(program.schedule(), config)
 }
 
 /// Wall-clock measurement helper: returns `(result, seconds)`.

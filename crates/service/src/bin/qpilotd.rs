@@ -42,9 +42,8 @@
 //! Observability: `--metrics-listen HOST:PORT` additionally serves the
 //! Prometheus text exposition over plain HTTP GET (the same bytes the
 //! `metrics` protocol op returns); the daemon prints `qpilotd metrics
-//! on ADDR` once that listener is up. `--log-json` (or `QPILOT_LOG=json`
-//! in the environment) turns on one-line JSON event logs on stderr; see
-//! `qpilot_service::events`.
+//! on ADDR` once that listener is up. `--log-json` turns on one-line
+//! JSON event logs on stderr; see `qpilot_service::events`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -148,11 +147,7 @@ fn drain_and_exit(server: &ReactorServer, service: &Service, budget: Duration) -
 
 fn main() {
     let flags = Flags::parse("qpilotd", std::env::args().skip(1), &VALUE_FLAGS, &SWITCHES);
-    // JSON event logs: the flag wins; `QPILOT_LOG=json` works for
-    // wrappers that cannot alter the argv.
-    let log_json =
-        flags.switch("--log-json") || std::env::var("QPILOT_LOG").is_ok_and(|v| v == "json");
-    events::set_log_json(log_json);
+    events::set_log_json(flags.switch("--log-json"));
     let defaults = ServiceConfig::default();
     let store_dir = flags.value("--store").map(std::path::PathBuf::from);
     let config = ServiceConfig {

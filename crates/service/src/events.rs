@@ -1,9 +1,8 @@
 //! Structured JSON event logs on stderr.
 //!
-//! Disabled by default; `qpilotd --log-json` (or `QPILOT_LOG=json` in
-//! the environment) turns it on. Each event is one line of JSON on
-//! stderr so it composes with whatever collects the daemon's stderr —
-//! no files, no rotation, no dependencies:
+//! Disabled by default; `qpilotd --log-json` turns it on. Each event is
+//! one line of JSON on stderr so it composes with whatever collects the
+//! daemon's stderr — no files, no rotation, no dependencies:
 //!
 //! ```text
 //! {"ts_ms":1754650000123,"event":"request","request_id":"r-1a2b","path":"miss","ms":1.42,"ok":true}
